@@ -189,9 +189,7 @@ func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, 
 			return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
 		}
 		if p.Obs != nil {
-			for ph, sec := range hw.PhaseSeconds {
-				p.Obs.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
-			}
+			publishSynth(p.Obs, hw)
 		}
 		return SynthArtifact{
 			CycleNs:          hw.CycleNs,
@@ -215,6 +213,20 @@ func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, 
 		p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
 	}
 	return e, nil
+}
+
+// publishSynth records a synthesis run's phase timings as synth.<phase>.ns
+// histograms and its exhausted coexistence searches as the
+// synth.coexist.exhausted counter. Only a non-zero count creates the
+// counter, so the metrics summary shows that line exactly when a search
+// gave up.
+func publishSynth(r *obs.Registry, hw *hgen.Result) {
+	for ph, sec := range hw.PhaseSeconds {
+		r.Histogram("synth." + ph + ".ns").ObserveNs(sec * 1e9)
+	}
+	if hw.CoexistExhausted > 0 {
+		r.Counter("synth.coexist.exhausted").Add(uint64(hw.CoexistExhausted))
+	}
 }
 
 // runCodegen generates and natively compiles the aot simulator for the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gensim"
+	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/machines"
 	"repro/internal/obs"
@@ -166,10 +167,14 @@ func TestPipelineInstrumentation(t *testing.T) {
 	hists := reg.Histograms()
 	for _, name := range []string{"stage.parse.ns", "stage.compile.ns", "stage.assemble.ns",
 		"stage.simulate.ns", "stage.synthesize.ns", "stage.combine.ns",
-		"synth.share.ns", "synth.retime.ns"} {
+		"synth.share.ns", "synth.coexist.ns", "synth.cliques.ns", "synth.cover.ns",
+		"synth.retime.ns"} {
 		if hists[name].Count == 0 {
 			t.Errorf("histogram %s not recorded", name)
 		}
+	}
+	if _, ok := reg.Counters()["synth.coexist.exhausted"]; ok {
+		t.Error("synth.coexist.exhausted published although no search gave up")
 	}
 	for name, v := range reg.Gauges() {
 		if v != 0 {
@@ -359,5 +364,18 @@ func TestStageCachePersistenceRoundTrip(t *testing.T) {
 	}
 	if err := NewStageCache().Load(strings.NewReader(skew)); err == nil {
 		t.Error("incompatible cache version accepted")
+	}
+}
+
+// TestPublishSynthExhausted: a synthesis whose coexistence searches gave up
+// publishes their count next to the phase histograms.
+func TestPublishSynthExhausted(t *testing.T) {
+	reg := obs.NewRegistry()
+	publishSynth(reg, &hgen.Result{CoexistExhausted: 3, PhaseSeconds: map[string]float64{"coexist": 0.002}})
+	if got := reg.Counters()["synth.coexist.exhausted"]; got != 3 {
+		t.Errorf("synth.coexist.exhausted = %d, want 3", got)
+	}
+	if reg.Histograms()["synth.coexist.ns"].Count != 1 {
+		t.Error("synth.coexist.ns not recorded")
 	}
 }

@@ -85,8 +85,8 @@ func TestInstructionConstraintViolation(t *testing.T) {
 		w = w.WithBit(b, jmp.Words[0].Bit(b))
 	}
 	_, err = decode.Instruction(d, w)
-	if err == nil || !strings.Contains(err.Error(), "constraint violated") {
-		t.Fatalf("err = %v, want constraint violation", err)
+	if err == nil || err.Error() != "constraint violated: (MV.ld -> BR.nop)" {
+		t.Fatalf("err = %v, want the violated constraint's text", err)
 	}
 }
 

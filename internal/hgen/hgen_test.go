@@ -40,8 +40,9 @@ func TestSynthesizeToyEstimates(t *testing.T) {
 	if r.Report() == "" {
 		t.Fatal("empty report")
 	}
-	// Phase timings: share and retime always run; emit only with Verilog.
-	for _, ph := range []string{"share", "retime"} {
+	// Phase timings: share (split into coexist, cliques and cover) and
+	// retime always run; emit only with Verilog.
+	for _, ph := range []string{"share", "coexist", "cliques", "cover", "retime"} {
 		if _, ok := r.PhaseSeconds[ph]; !ok {
 			t.Errorf("PhaseSeconds missing %q: %v", ph, r.PhaseSeconds)
 		}
@@ -51,6 +52,23 @@ func TestSynthesizeToyEstimates(t *testing.T) {
 	}
 	if !strings.Contains(r.Report(), "share") {
 		t.Error("report does not show phase timings")
+	}
+}
+
+// TestSharePhaseSplit checks that the share phase's parts fit inside it and
+// appear in the synthesis summary.
+func TestSharePhaseSplit(t *testing.T) {
+	for _, d := range []*isdl.Description{machines.SPAM(), machines.SPAM2()} {
+		r := synth(t, d, hgen.DefaultOptions())
+		ph := r.PhaseSeconds
+		if parts := ph["coexist"] + ph["cliques"] + ph["cover"]; parts > ph["share"] {
+			t.Errorf("%s: coexist+cliques+cover = %g s exceeds share = %g s", d.Name, parts, ph["share"])
+		}
+		for _, k := range []string{"coexist", "cliques", "cover"} {
+			if !strings.Contains(r.Report(), k+" ") {
+				t.Errorf("%s: summary lacks %q:\n%s", d.Name, k, r.Report())
+			}
+		}
 	}
 }
 

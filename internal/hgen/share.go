@@ -3,7 +3,6 @@ package hgen
 import (
 	"sort"
 
-	"repro/internal/decode"
 	"repro/internal/isdl"
 )
 
@@ -104,19 +103,59 @@ func paramOf(path string) string {
 	return path
 }
 
+// coexistBudget caps the steps of one pair's coexistence search.
+const coexistBudget = 200000
+
 // coexistence answers "can these two operations appear in the same valid
-// instruction?" by searching for a completing selection of one operation
-// per remaining field that satisfies every constraint.
+// instruction?" by a depth-first search, in field order, for a completing
+// selection of one operation per remaining field. The constraint section
+// is compiled once per synthesis: byField[i] lists the constraints that
+// mention field i, the only ones an assignment to field i can decide.
+// After each assignment the search evaluates those three-valued and cuts
+// the branch as soon as one is False, so every leaf it reaches satisfies
+// every constraint.
 type coexistence struct {
-	d     *isdl.Description
-	cache map[[2]*isdl.Operation]bool
-	// budget caps the search; exhausting it answers "yes" (conservative:
-	// no sharing).
-	budget int
+	d       *isdl.Description
+	byField [][]*isdl.Constraint
+	cache   map[[2]*isdl.Operation]bool
+	sel     []*isdl.Operation
+	// budget is the steps left for the current pair; exhausting it
+	// answers "yes" (conservative: no sharing), sets gaveUp and counts
+	// the pair in exhausted.
+	budget    int
+	gaveUp    bool
+	exhausted int
 }
 
 func newCoexistence(d *isdl.Description) *coexistence {
-	return &coexistence{d: d, cache: map[[2]*isdl.Operation]bool{}}
+	c := &coexistence{
+		d:       d,
+		byField: make([][]*isdl.Constraint, len(d.Fields)),
+		cache:   map[[2]*isdl.Operation]bool{},
+		sel:     make([]*isdl.Operation, len(d.Fields)),
+	}
+	for _, con := range d.Constraints {
+		seen := make([]bool, len(d.Fields))
+		forEachAtom(con.Expr, func(a *isdl.CAtom) {
+			if fi := a.ResolvedField.Index; !seen[fi] {
+				seen[fi] = true
+				c.byField[fi] = append(c.byField[fi], con)
+			}
+		})
+	}
+	return c
+}
+
+func forEachAtom(e isdl.CExpr, f func(*isdl.CAtom)) {
+	switch e := e.(type) {
+	case *isdl.CAtom:
+		f(e)
+	case *isdl.CNot:
+		forEachAtom(e.X, f)
+	case *isdl.CBin:
+		forEachAtom(e.X, f)
+		forEachAtom(e.Y, f)
+	}
 }
 
 func (c *coexistence) canCoexist(a, b *isdl.Operation) bool {
@@ -130,39 +169,50 @@ func (c *coexistence) canCoexist(a, b *isdl.Operation) bool {
 	if v, ok := c.cache[key]; ok {
 		return v
 	}
-	c.budget = 200000
-	sel := make([]*isdl.Operation, len(c.d.Fields))
-	sel[a.Field.Index] = a
-	sel[b.Field.Index] = b
-	v := c.search(sel, 0)
+	c.budget, c.gaveUp = coexistBudget, false
+	clear(c.sel)
+	c.sel[a.Field.Index] = a
+	c.sel[b.Field.Index] = b
+	v := c.d.Violation(c.sel) == nil && c.search(0)
+	if c.gaveUp {
+		c.exhausted++
+	}
 	c.cache[key] = v
 	return v
 }
 
-func (c *coexistence) search(sel []*isdl.Operation, field int) bool {
+func (c *coexistence) search(field int) bool {
 	if c.budget <= 0 {
+		c.gaveUp = true
 		return true // give up: assume they can co-occur
 	}
 	c.budget--
-	if field == len(sel) {
-		m := make(map[*isdl.Operation]bool, len(sel))
-		for _, op := range sel {
-			m[op] = true
-		}
-		return decode.CheckConstraints(c.d, m) == nil
+	if field == len(c.sel) {
+		return true
 	}
-	if sel[field] != nil {
-		return c.search(sel, field+1)
+	if c.sel[field] != nil {
+		return c.search(field + 1)
 	}
 	for _, op := range c.d.Fields[field].Ops {
-		sel[field] = op
-		if c.search(sel, field+1) {
-			sel[field] = nil
+		c.sel[field] = op
+		if c.consistent(field) && c.search(field+1) {
+			c.sel[field] = nil
 			return true
 		}
 	}
-	sel[field] = nil
+	c.sel[field] = nil
 	return false
+}
+
+// consistent reports whether no constraint over field is False under the
+// current partial selection.
+func (c *coexistence) consistent(field int) bool {
+	for _, con := range c.byField[field] {
+		if con.Eval(c.sel) == isdl.False {
+			return false
+		}
+	}
+	return true
 }
 
 // maximalCliques enumerates maximal cliques of A with the Bron–Kerbosch

@@ -92,8 +92,16 @@ type Result struct {
 	// PhaseSeconds splits SynthSeconds by phase: "share" (node extraction
 	// and resource-sharing clique cover), "retime" (unit construction and
 	// area/cycle/energy estimation) and "emit" (Verilog generation and the
-	// re-parse gate; absent when EmitVerilog is off).
+	// re-parse gate; absent when EmitVerilog is off). Three keys split
+	// share further: "coexist" (the compatibility matrix A, including the
+	// constraint coexistence search), "cliques" (maximal-clique
+	// enumeration) and "cover" (clique cover and group refinement).
 	PhaseSeconds map[string]float64
+	// CoexistExhausted counts the operation pairs whose coexistence search
+	// ran out of budget and was answered "can co-occur": a conservative
+	// fallback that shares less, so the area may be larger than the
+	// constraints allow.
+	CoexistExhausted int
 }
 
 // Synthesize compiles a description into a hardware model.
@@ -102,17 +110,21 @@ func Synthesize(d *isdl.Description, lib *tech.Library, opts Options) (*Result, 
 	r := &Result{Desc: d, Lib: lib, Options: opts, Breakdown: map[string]float64{}, PhaseSeconds: map[string]float64{}}
 
 	r.Nodes = extractNodes(d)
+	phase := time.Now()
 	coex := newCoexistence(d)
 	a := shareMatrix(d, r.Nodes, opts.Sharing, coex)
+	r.CoexistExhausted = coex.exhausted
+	phase = r.endPhase("coexist", phase)
 	var cliques [][]int
 	if opts.Sharing != ShareOff {
 		cliques = maximalCliques(a, 4000)
 	}
+	phase = r.endPhase("cliques", phase)
 	r.Groups = cliqueCover(a, cliques)
 	if opts.Sharing != ShareOff {
 		r.refineGroups(a)
 	}
-	phase := time.Now()
+	phase = r.endPhase("cover", phase)
 	r.PhaseSeconds["share"] = phase.Sub(start).Seconds()
 	r.buildUnits()
 	r.estimate()
@@ -134,6 +146,13 @@ func Synthesize(d *isdl.Description, lib *tech.Library, opts Options) (*Result, 
 	}
 	r.SynthSeconds = time.Since(start).Seconds()
 	return r, nil
+}
+
+// endPhase records the time since begin under name and returns the end.
+func (r *Result) endPhase(name string, begin time.Time) time.Time {
+	now := time.Now()
+	r.PhaseSeconds[name] = now.Sub(begin).Seconds()
+	return now
 }
 
 // buildUnits turns each clique group into a shared functional unit.
@@ -546,15 +565,18 @@ func (r *Result) Report() string {
 	if r.VerilogLines > 0 {
 		fmt.Fprintf(&sb, "verilog:        %d lines\n", r.VerilogLines)
 	}
+	if r.CoexistExhausted > 0 {
+		fmt.Fprintf(&sb, "coexistence:    %d op pairs exhausted the %d-step search; assumed co-occurring (less sharing)\n",
+			r.CoexistExhausted, coexistBudget)
+	}
 	fmt.Fprintf(&sb, "synthesis time: %.3f s", r.SynthSeconds)
 	if len(r.PhaseSeconds) > 0 {
 		sb.WriteString(" (")
-		for i, ph := range []string{"share", "retime", "emit"} {
+		sep := ""
+		for _, ph := range []string{"share", "coexist", "cliques", "cover", "retime", "emit"} {
 			if sec, ok := r.PhaseSeconds[ph]; ok {
-				if i > 0 {
-					sb.WriteString(", ")
-				}
-				fmt.Fprintf(&sb, "%s %.3f", ph, sec)
+				fmt.Fprintf(&sb, "%s%s %.3f", sep, ph, sec)
+				sep = ", "
 			}
 		}
 		sb.WriteString(")")

@@ -407,27 +407,61 @@ func (*CAtom) cexpr() {}
 func (*CNot) cexpr()  {}
 func (*CBin) cexpr()  {}
 
-// Eval evaluates a constraint expression over the set of selected operations.
-func (c *Constraint) Eval(selected map[*Operation]bool) bool {
-	return cEval(c.Expr, selected)
+// Truth is the value of a constraint over a per-field selection. Over a
+// partial selection a constraint is either already decided or Unknown.
+// The values are ordered False < Unknown < True, so Kleene's three-valued
+// & and | are min and max and negation is True - t.
+type Truth uint8
+
+const (
+	False Truth = iota
+	Unknown
+	True
+)
+
+// Eval evaluates the constraint over a per-field selection: sel has one
+// entry per field of the description, sel[i] is the operation chosen in
+// field i and nil marks a field not chosen yet. An atom over an open field
+// is Unknown, so False means no completion of sel satisfies the constraint
+// and True means every completion does. On a complete selection the
+// result is never Unknown.
+func (c *Constraint) Eval(sel []*Operation) Truth {
+	return cEval(c.Expr, sel)
 }
 
-func cEval(e CExpr, sel map[*Operation]bool) bool {
+func cEval(e CExpr, sel []*Operation) Truth {
 	switch e := e.(type) {
 	case *CAtom:
-		return sel[e.ResolvedOp]
+		switch sel[e.ResolvedField.Index] {
+		case nil:
+			return Unknown
+		case e.ResolvedOp:
+			return True
+		}
+		return False
 	case *CNot:
-		return !cEval(e.X, sel)
+		return True - cEval(e.X, sel)
 	case *CBin:
 		x, y := cEval(e.X, sel), cEval(e.Y, sel)
 		switch e.Op {
 		case "&":
-			return x && y
+			return min(x, y)
 		case "|":
-			return x || y
+			return max(x, y)
 		case "->":
-			return !x || y
+			return max(True-x, y)
 		}
 	}
 	panic("isdl: bad constraint expression")
+}
+
+// Violation returns the first constraint that sel violates (see
+// Constraint.Eval for the selection), or nil when none is False.
+func (d *Description) Violation(sel []*Operation) *Constraint {
+	for _, c := range d.Constraints {
+		if c.Eval(sel) == False {
+			return c
+		}
+	}
+	return nil
 }

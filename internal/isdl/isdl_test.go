@@ -165,24 +165,84 @@ constraint B.y -> A.anop;
 	ax := d.Fields[0].ByName["x"]
 	an := d.Fields[0].ByName["anop"]
 	by := d.Fields[1].ByName["y"]
-	sel := func(ops ...*isdl.Operation) map[*isdl.Operation]bool {
-		m := map[*isdl.Operation]bool{}
+	bn := d.Fields[1].ByName["bnop"]
+	sel := func(ops ...*isdl.Operation) []*isdl.Operation {
+		s := make([]*isdl.Operation, len(d.Fields))
 		for _, o := range ops {
-			m[o] = true
+			s[o.Field.Index] = o
 		}
-		return m
+		return s
 	}
-	if d.Constraints[0].Eval(sel(ax, by)) {
+	if d.Constraints[0].Eval(sel(ax, by)) != isdl.False {
 		t.Error("never A.x & B.y should fail when both selected")
 	}
-	if !d.Constraints[0].Eval(sel(ax)) {
-		t.Error("constraint should pass with only A.x")
+	if d.Constraints[0].Eval(sel(ax, bn)) != isdl.True {
+		t.Error("constraint should pass with A.x and B's nop")
 	}
-	if !d.Constraints[1].Eval(sel(an, by)) {
+	if d.Constraints[1].Eval(sel(an, by)) != isdl.True {
 		t.Error("B.y -> A.anop should pass")
 	}
-	if d.Constraints[1].Eval(sel(ax, by)) {
+	if d.Constraints[1].Eval(sel(ax, by)) != isdl.False {
 		t.Error("B.y -> A.anop should fail with A.x")
+	}
+	if c := d.Violation(sel(ax, by)); c != d.Constraints[0] {
+		t.Errorf("Violation = %v, want the first constraint", c)
+	}
+	if c := d.Violation(sel(an, bn)); c != nil {
+		t.Errorf("Violation = %q on a valid instruction", c.Text)
+	}
+}
+
+// TestConstraintEvalPartial checks the three-valued evaluation over a
+// selection with open fields (nil entries).
+func TestConstraintEvalPartial(t *testing.T) {
+	src := header() + storageOnly() + `
+Section Instruction_Set
+Field A:
+  op x Encode { I[7:7] = 0b0; } Action { ACC <- ACC; }
+  op anop Encode { I[7:7] = 0b1; }
+Field B:
+  op y Encode { I[6:6] = 0b0; } Action { ACC <- ACC; }
+  op bnop Encode { I[6:6] = 0b1; }
+
+Section Constraints
+never A.x & B.y;
+constraint B.y -> A.anop;
+constraint A.x | B.y;
+`
+	d, err := isdl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax, an := d.Fields[0].ByName["x"], d.Fields[0].ByName["anop"]
+	by, bn := d.Fields[1].ByName["y"], d.Fields[1].ByName["bnop"]
+	cases := []struct {
+		c    int
+		a, b *isdl.Operation // nil: field open
+		want isdl.Truth
+	}{
+		{0, nil, nil, isdl.Unknown},
+		{0, ax, nil, isdl.Unknown},
+		{0, an, nil, isdl.True}, // A.x is false whatever B holds
+		{0, nil, bn, isdl.True}, // B.y is false whatever A holds
+		{1, ax, nil, isdl.Unknown},
+		{1, nil, by, isdl.Unknown},
+		{1, nil, bn, isdl.True}, // false antecedent
+		{1, an, nil, isdl.True}, // true consequent
+		{2, ax, nil, isdl.True}, // true disjunct
+		{2, an, nil, isdl.Unknown},
+		{2, an, bn, isdl.False},
+	}
+	name := func(op *isdl.Operation) string {
+		if op == nil {
+			return "open"
+		}
+		return op.QualName()
+	}
+	for _, tc := range cases {
+		if got := d.Constraints[tc.c].Eval([]*isdl.Operation{tc.a, tc.b}); got != tc.want {
+			t.Errorf("constraint %q over (%s, %s) = %d, want %d", d.Constraints[tc.c].Text, name(tc.a), name(tc.b), got, tc.want)
+		}
 	}
 }
 
