@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
@@ -233,13 +232,10 @@ func BenchmarkParseISDL(b *testing.B) {
 // benchExplore measures the whole iterative-improvement loop on SPAM —
 // every neighbour candidate runs the full parse → compile → assemble →
 // simulate → synthesize pipeline — under the given concurrency and
-// memoization knobs, optionally with the full fleet-telemetry stack: a
-// live obs.Registry collecting every metric and span, a flight recorder
-// ring, and a background sampler ticking at the dashboard's default
-// 1-second interval. All variants produce bit-identical results
-// (asserted by TestExploreParallelDeterministic,
-// TestExploreInstrumentedExactCounters and
-// TestExploreFleetTelemetryBitIdentical).
+// memoization knobs, optionally instrumented with a live obs.Registry
+// collecting every metric and span. All variants produce bit-identical
+// results (asserted by TestExploreParallelDeterministic and
+// TestExploreInstrumentedExactCounters).
 func benchExplore(b *testing.B, workers int, cached, instrumented bool, extra ...explore.Option) {
 	const kernel = "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n"
 	b.ResetTimer()
@@ -253,12 +249,7 @@ func benchExplore(b *testing.B, workers int, cached, instrumented bool, extra ..
 			opts = append(opts, explore.WithoutCache())
 		}
 		if instrumented {
-			reg := obs.NewRegistry()
-			reg.AttachFlight(obs.NewFlightRecorder(256))
-			sampler := obs.NewSampler(reg, time.Second, 360)
-			sampler.Start()
-			defer sampler.Stop()
-			opts = append(opts, explore.WithObs(reg))
+			opts = append(opts, explore.WithObs(obs.NewRegistry()))
 		}
 		opts = append(opts, extra...)
 		res, err := explore.New(machines.SPAMSource, kernel, opts...).Run()

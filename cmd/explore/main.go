@@ -12,7 +12,7 @@
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
 //	        [-sim-backend interp|compiled|aot]
 //	        [-no-cache] [-cache-file c.json]
-//	        [-store dir:PATH|http://HOST] [-o best.isdl]
+//	        [-store dir:PATH] [-o best.isdl]
 //
 // Strategies (-strategy, docs/EXPLORE.md):
 //
@@ -43,38 +43,22 @@
 // success, so a repeated exploration starts with compilation and
 // synthesis fully warm.
 //
-// -store attaches a shared artifact store (docs/PIPELINE.md,
-// docs/SERVICE.md): dir:PATH is a directory any number of concurrent
-// processes may share, http://HOST is a cmd/served daemon. Every
+// -store dir:PATH attaches a shared artifact store (docs/PIPELINE.md): a
+// directory any number of concurrent processes may share. Every
 // serializable stage artifact — including whole evaluations and aot
 // simulator binaries — is read from and written through to the store, so
-// two explorers on different machines never evaluate the same
-// architecture twice.
+// two explorers sharing it never evaluate the same architecture twice.
 //
 // The run is instrumented end to end (docs/OBSERVABILITY.md): -trace-out
 // writes a Chrome trace_event file (open in chrome://tracing or
-// ui.perfetto.dev), -metrics-out writes the metrics registry as JSON (or
-// Prometheus text exposition when the filename ends in .prom), and a
-// summary table of counters and per-stage latencies goes to stderr. All
+// ui.perfetto.dev), -metrics-out writes the metrics registry as JSON, and
+// a summary table of counters and per-stage latencies goes to stderr. All
 // output files are written atomically (temp + rename), so a crash never
-// leaves a truncated file behind.
-//
-// Fleet telemetry (docs/OBSERVABILITY.md "The fleet tier"):
-//
-//   - -remote http://HOST evaluates the kernel on a cmd/served daemon
-//     instead of locally: one job is submitted (carrying this process's
-//     trace context in X-Repro-Trace), and the daemon's queue-wait and
-//     pipeline-stage spans come back merged into this run's trace, so
-//     -trace-out shows the client → queue → stages → store timeline.
-//   - -dash :PORT serves the live dashboard (GET /dash) plus /dash/data,
-//     /metrics and /debug/flight while the exploration runs.
-//   - -pprof :PORT serves net/http/pprof for continuous profiling.
-//   - SIGQUIT dumps the flight recorder (last N completed spans) to
-//     stderr without stopping the run.
+// leaves a truncated file behind. -pprof ADDR serves net/http/pprof while
+// the exploration runs.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -82,10 +66,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; exposed only with -pprof
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro"
 	"repro/internal/atomicfile"
@@ -94,7 +75,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/gensim"
 	"repro/internal/obs"
-	"repro/internal/service"
 	"repro/internal/xsim"
 )
 
@@ -115,19 +95,15 @@ func main() {
 	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp, compiled (default) or aot (docs/GENSIM.md)")
 	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
 	cacheFile := flag.String("cache-file", "", "persist the stage cache here across runs (loaded if present, saved on success)")
-	storeSpec := flag.String("store", "", "shared artifact store: dir:PATH or http://HOST (cmd/served); see docs/SERVICE.md")
+	storeSpec := flag.String("store", "", "shared artifact store directory: dir:PATH (see docs/PIPELINE.md)")
 	out := flag.String("o", "", "write the winning ISDL description here")
 	wRun := flag.Float64("w-runtime", 1, "objective weight: run time (us)")
 	wArea := flag.Float64("w-area", 0.5, "objective weight: area (10k grid cells)")
 	wPow := flag.Float64("w-power", 0.2, "objective weight: power (mW)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry here (JSON, or Prometheus text if the name ends in .prom)")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry here as JSON")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file here (chrome://tracing, Perfetto)")
 	quietObs := flag.Bool("no-summary", false, "suppress the metrics summary table on stderr")
-	remote := flag.String("remote", "", "evaluate on a cmd/served daemon (http://HOST) instead of locally; see docs/SERVICE.md")
-	dashAddr := flag.String("dash", "", "serve the live dashboard on this address (e.g. :8355) while running")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address while running")
-	sampleEvery := flag.Duration("sample-every", time.Second, "dashboard sampling interval (with -dash)")
-	flightCap := flag.Int("flight", 256, "flight-recorder capacity (last N completed spans)")
 	flag.Parse()
 	if *machine == "" || *kernelFile == "" {
 		fmt.Fprintln(os.Stderr, "usage: explore -m <machine> -k <kernel.k> [-strategy hill|beam|pareto] [-beam w] [-max-area a -max-power p -frontier-out f.json] [-restarts n] [-seed s] [-iters n] [-o best.isdl]")
@@ -166,29 +142,13 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	flight := obs.NewFlightRecorder(*flightCap)
-	reg.AttachFlight(flight)
-	dumpFlightOnQuit(flight)
-	var sampler *obs.Sampler
-	if *dashAddr != "" {
-		sampler = obs.NewSampler(reg, *sampleEvery, 0)
-		sampler.Start()
-		defer sampler.Stop()
-		go serveDebug(*dashAddr, reg, sampler, flight)
-		fmt.Fprintf(os.Stderr, "explore: dashboard on http://localhost%s/dash\n", normalizeAddr(*dashAddr))
-	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, http.DefaultServeMux); err != nil {
 				log.Println("explore: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "explore: pprof on http://localhost%s/debug/pprof/\n", normalizeAddr(*pprofAddr))
-	}
-
-	if *remote != "" {
-		runRemote(*remote, *machine, baseSrc, string(kernel), reg, *metricsOut, *traceOut, *quietObs)
-		return
+		fmt.Fprintf(os.Stderr, "explore: pprof on %s (/debug/pprof/)\n", *pprofAddr)
 	}
 
 	var cache *core.EvalCache
@@ -207,11 +167,6 @@ func main() {
 			st, err := blob.Open(*storeSpec)
 			if err != nil {
 				fatal(err)
-			}
-			// A tracing run tells the remote store who is asking, so a
-			// traced daemon records its side of every transfer.
-			if hc, ok := st.(*blob.HTTP); ok && *traceOut != "" {
-				hc.SetTrace(obs.TraceContext{TraceID: reg.TraceID()})
 			}
 			cache.Stages().SetStore(st)
 			gensim.SetStore(st) // share built aot simulator binaries too
@@ -308,16 +263,10 @@ func frontierWriterFor(name string) (func(io.Writer, []explore.FrontierPoint) er
 	return nil, fmt.Errorf("-frontier-out %q: want a .json or .csv name", name)
 }
 
-// writeFileWith streams one of the registry exporters into a file,
-// atomically: the write lands in a temp file that replaces name only on
-// success, so a failing exporter leaves any existing file untouched.
-func writeFileWith(name string, write func(io.Writer) error) error {
-	return atomicfile.WriteTo(name, 0o644, write)
-}
-
 // writeObsOutputs emits the observability artifacts a run was asked
-// for: the stderr summary, -metrics-out (JSON, or Prometheus text when
-// the name ends in .prom) and -trace-out.
+// for: the stderr summary, -metrics-out and -trace-out. Both files are
+// written atomically, so a failing exporter leaves any existing file
+// untouched.
 func writeObsOutputs(reg *obs.Registry, metricsOut, traceOut string, quiet bool) {
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
@@ -326,104 +275,17 @@ func writeObsOutputs(reg *obs.Registry, metricsOut, traceOut string, quiet bool)
 		}
 	}
 	if metricsOut != "" {
-		exporter := reg.WriteMetricsJSON
-		if strings.HasSuffix(metricsOut, ".prom") {
-			exporter = reg.WriteProm
-		}
-		if err := writeFileWith(metricsOut, exporter); err != nil {
+		if err := atomicfile.WriteTo(metricsOut, 0o644, reg.WriteMetricsJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote metrics %s\n", metricsOut)
 	}
 	if traceOut != "" {
-		if err := writeFileWith(traceOut, reg.WriteTrace); err != nil {
+		if err := atomicfile.WriteTo(traceOut, 0o644, reg.WriteTrace); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote trace %s (open in chrome://tracing or ui.perfetto.dev)\n", traceOut)
 	}
-}
-
-// runRemote is the -remote thin-client mode: one evaluation on a
-// cmd/served daemon, with the daemon's spans merged back under this
-// process's trace. Builtin machine names travel as names (the daemon
-// resolves them); anything else travels as raw ISDL source.
-func runRemote(daemon, machineArg, baseSrc, kernel string, reg *obs.Registry, metricsOut, traceOut string, quiet bool) {
-	req := service.JobRequest{Kernel: kernel, Workload: "kernel"}
-	if _, builtin := repro.Machines()[machineArg]; builtin {
-		req.Machine = machineArg
-	} else {
-		req.ISDL = baseSrc
-	}
-	reg.SetLaneName(0, "client")
-	reg.SetLaneName(service.RemoteLaneBase+0, "served:jobs")
-	reg.SetLaneName(service.RemoteLaneBase+1, "served:queue")
-
-	root := reg.StartSpan("explore.remote")
-	client := service.NewClient(daemon)
-	st, err := client.EvaluateTraced(context.Background(), req, reg, root, 0)
-	root.End()
-	if err != nil {
-		fatal(err)
-	}
-	ev := st.Eval
-	fmt.Printf("remote evaluation %s on %s (cached=%v, %d daemon spans merged)\n",
-		st.ID, daemon, st.Cached, len(st.Spans))
-	if ev != nil {
-		fmt.Printf("  machine=%s workload=%s\n", ev.Machine, ev.Workload)
-		fmt.Printf("  cycles=%d instructions=%d\n", ev.Cycles, ev.Instructions)
-		fmt.Printf("  runtime=%.3fus area=%.0fcells power=%.2fmW energy=%.3fuJ\n",
-			ev.RuntimeUs, ev.AreaCells, ev.PowerMW, ev.EnergyUJ)
-	}
-	writeObsOutputs(reg, metricsOut, traceOut, quiet)
-}
-
-// serveDebug hosts the live dashboard endpoints during a run.
-func serveDebug(addr string, reg *obs.Registry, sampler *obs.Sampler, flight *obs.FlightRecorder) {
-	mux := http.NewServeMux()
-	mux.Handle("GET /dash", obs.DashHandler(sampler))
-	mux.Handle("GET /dash/data", obs.DashHandler(sampler))
-	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		flight.WriteJSON(w)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WriteProm(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteMetricsJSON(w)
-	})
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		log.Println("explore: dashboard server:", err)
-	}
-}
-
-// dumpFlightOnQuit prints the flight recorder to stderr on SIGQUIT
-// without interrupting the run.
-func dumpFlightOnQuit(flight *obs.FlightRecorder) {
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			fmt.Fprintln(os.Stderr, "explore: flight recorder dump (SIGQUIT):")
-			if err := flight.WriteJSON(os.Stderr); err != nil {
-				log.Println("explore: flight dump:", err)
-			}
-		}
-	}()
-}
-
-// normalizeAddr makes a bare ":port" printable as localhost:port.
-func normalizeAddr(addr string) string {
-	if strings.HasPrefix(addr, ":") {
-		return addr
-	}
-	if i := strings.LastIndex(addr, ":"); i >= 0 {
-		return addr[i:]
-	}
-	return ":" + addr
 }
 
 func loadSource(arg string) (string, error) {

@@ -1,36 +1,6 @@
 package main
 
-import (
-	"errors"
-	"io"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-// TestWriteFileWithPartialWrite: the -metrics-out/-trace-out path goes
-// through writeFileWith, so an exporter that fails mid-stream must leave
-// a pre-existing artifact from an earlier run byte-identical.
-func TestWriteFileWithPartialWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := os.WriteFile(path, []byte(`{"from":"previous run"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("exporter failed")
-	err := writeFileWith(path, func(w io.Writer) error {
-		if _, err := w.Write([]byte(`{"half":`)); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("writeFileWith error = %v, want %v", err, boom)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != `{"from":"previous run"}` {
-		t.Fatalf("artifact after failed export = %q, %v; want previous content intact", got, err)
-	}
-}
+import "testing"
 
 // TestFrontierWriterFor pins the -frontier-out format selection: extension
 // picks the serializer, anything else fails before the run starts.
@@ -47,19 +17,6 @@ func TestFrontierWriterFor(t *testing.T) {
 	for _, bad := range []string{"frontier.txt", "frontier", "frontier.jsonl"} {
 		if _, err := frontierWriterFor(bad); err == nil {
 			t.Errorf("%s: accepted, want extension error", bad)
-		}
-	}
-}
-
-func TestNormalizeAddr(t *testing.T) {
-	cases := map[string]string{
-		":8080":          ":8080",
-		"localhost:9090": ":9090",
-		"7070":           ":7070",
-	}
-	for in, want := range cases {
-		if got := normalizeAddr(in); got != want {
-			t.Errorf("normalizeAddr(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

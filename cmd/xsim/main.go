@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/atomicfile"
@@ -114,15 +113,10 @@ func main() {
 	}
 }
 
-// writeMetrics writes the registry to name atomically (temp + rename, so
-// a crash or exporter error never truncates an existing file), as JSON
-// or — when name ends in .prom — Prometheus text exposition.
+// writeMetrics writes the registry to name as JSON, atomically (temp +
+// rename, so a crash or exporter error never truncates an existing file).
 func writeMetrics(reg *obs.Registry, name string) {
-	exporter := reg.WriteMetricsJSON
-	if strings.HasSuffix(name, ".prom") {
-		exporter = reg.WriteProm
-	}
-	if err := atomicfile.WriteTo(name, 0o644, exporter); err != nil {
+	if err := atomicfile.WriteTo(name, 0o644, reg.WriteMetricsJSON); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote metrics %s\n", name)

@@ -3,17 +3,14 @@
 // inside a flat namespace (one namespace per pipeline stage or artifact
 // family), so any artifact produced by one process — a compiled kernel,
 // a simulation measurement, a synthesized cost model, a built aot
-// simulator binary — is available to every other process, on this
-// machine or another. Three implementations ship:
+// simulator binary — is available to every other process sharing the
+// store. Two implementations ship:
 //
 //   - Mem: in-process map, the single-process behavior the StageCache
 //     always had.
 //   - Dir: one file per blob under a root directory, written atomically
 //     (temp+fsync+rename via internal/atomicfile) so concurrent
 //     processes sharing the directory never observe a partial blob.
-//   - HTTP: a thin remote client speaking GET/PUT/HEAD against the
-//     /v1/blobs/{ns}/{key} tree that Handler serves (cmd/served mounts
-//     it), so explorers on different machines share every artifact.
 //
 // Keys are produced by the callers (internal/core stage keys hash the
 // exact inputs a stage reads; internal/gensim keys by description
@@ -34,19 +31,8 @@ import (
 // inputs that determine the blob's content.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex (the on-disk and on-wire form).
+// String renders the key as lowercase hex (the on-disk form).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// ParseKey decodes a 64-character hex key.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != len(k) {
-		return k, fmt.Errorf("blob: bad key %q", s)
-	}
-	copy(k[:], raw)
-	return k, nil
-}
 
 // KeyOf hashes the parts into a Key. Parts are length-prefixed, so no
 // two distinct part sequences collide by concatenation.
@@ -72,14 +58,13 @@ var ErrNotFound = errors.New("blob: not found")
 // immutable byte blob. Put is idempotent — the same key always carries
 // the same bytes, so concurrent writers race benignly — and Get returns
 // ErrNotFound (possibly wrapped) for absent keys. Any other error is
-// environmental (I/O, network) and callers should degrade to
+// environmental (I/O) and callers should degrade to
 // recomputing, never fail.
 type Store interface {
 	// Get returns the blob stored under ns/key, or an error wrapping
 	// ErrNotFound.
 	Get(ns string, key Key) ([]byte, error)
-	// Put stores the blob under ns/key, durably for Dir (atomic write)
-	// and remote stores.
+	// Put stores the blob under ns/key, durably for Dir (atomic write).
 	Put(ns string, key Key, data []byte) error
 	// Has reports whether ns/key holds a blob, without fetching it.
 	Has(ns string, key Key) (bool, error)
@@ -108,18 +93,14 @@ func checkNS(ns string) error {
 
 // Open builds a store from a spec string (the CLIs' -store flag):
 //
-//	mem            in-process only (testing)
-//	dir:PATH       shared directory CAS, created if absent
-//	http://HOST    remote store served by cmd/served (or any Handler)
-//	https://HOST
+//	mem        in-process only (testing)
+//	dir:PATH   shared directory CAS, created if absent
 func Open(spec string) (Store, error) {
 	switch {
 	case spec == "mem":
 		return NewMem(), nil
 	case strings.HasPrefix(spec, "dir:"):
 		return NewDir(strings.TrimPrefix(spec, "dir:"))
-	case strings.HasPrefix(spec, "http://"), strings.HasPrefix(spec, "https://"):
-		return NewHTTP(spec), nil
 	}
-	return nil, fmt.Errorf("blob: unknown store spec %q (want mem, dir:PATH or http(s)://HOST)", spec)
+	return nil, fmt.Errorf("blob: unknown store spec %q (want mem or dir:PATH)", spec)
 }

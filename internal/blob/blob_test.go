@@ -5,30 +5,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// stores builds one of each implementation over fresh backing state; the
-// HTTP store is a client against a Handler over a Dir store, exactly the
-// cmd/served topology.
+// stores builds one of each implementation over fresh backing state.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
 	d, err := NewDir(filepath.Join(t.TempDir(), "cas"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing, err := NewDir(filepath.Join(t.TempDir(), "remote"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(backing))
-	t.Cleanup(srv.Close)
-	return map[string]Store{"mem": NewMem(), "dir": d, "http": NewHTTP(srv.URL)}
+	return map[string]Store{"mem": NewMem(), "dir": d}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -81,40 +73,42 @@ func TestKeyOfLengthPrefixed(t *testing.T) {
 	if KeyOf("ab", "c") == KeyOf("a", "bc") {
 		t.Fatal("concatenation collision")
 	}
-	k := KeyOf("stage", "input")
-	back, err := ParseKey(k.String())
-	if err != nil || back != k {
-		t.Fatalf("ParseKey(String) = %v, %v", back, err)
-	}
-	if _, err := ParseKey("zz"); err == nil {
-		t.Fatal("ParseKey accepted garbage")
+	if s := KeyOf("stage", "input").String(); len(s) != 64 || strings.ToLower(s) != s {
+		t.Fatalf("Key.String() = %q, want 64 lowercase hex digits", s)
 	}
 }
 
+// TestOpenSpecs pins the -store grammar: mem and dir:PATH open stores;
+// an empty dir path and anything else — remote http(s) URLs included —
+// is rejected with an error naming the accepted forms.
 func TestOpenSpecs(t *testing.T) {
-	if s, err := Open("mem"); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*Mem); !ok {
-		t.Fatalf("Open(mem) = %T", s)
-	}
 	dir := filepath.Join(t.TempDir(), "deep", "store")
-	s, err := Open("dir:" + dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*Dir); !ok {
-		t.Fatalf("Open(dir:) = %T", s)
+	for _, tc := range []struct {
+		spec string
+		want string // store type, or "" for a rejected spec
+	}{
+		{"mem", "*blob.Mem"},
+		{"dir:" + dir, "*blob.Dir"},
+		{"dir:", ""},
+		{"http://h", ""},
+		{"https://h", ""},
+		{"s3://bucket", ""},
+	} {
+		s, err := Open(tc.spec)
+		if tc.want != "" {
+			if err != nil || fmt.Sprintf("%T", s) != tc.want {
+				t.Errorf("Open(%q) = %T, %v; want %s", tc.spec, s, err, tc.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Open(%q) = %T, want error", tc.spec, s)
+		} else if tc.spec != "dir:" && !(strings.Contains(err.Error(), "mem") && strings.Contains(err.Error(), "dir:PATH")) {
+			t.Errorf("Open(%q) error %q does not name mem and dir:PATH", tc.spec, err)
+		}
 	}
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Fatalf("dir store root not created: %v", err)
-	}
-	if s, err := Open("http://localhost:1"); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*HTTP); !ok {
-		t.Fatalf("Open(http://) = %T", s)
-	}
-	if _, err := Open("s3://bucket"); err == nil {
-		t.Fatal("Open accepted unknown scheme")
 	}
 }
 

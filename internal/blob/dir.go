@@ -30,9 +30,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Dir) Root() string { return s.root }
-
 // path maps ns/key to the blob's file path.
 func (s *Dir) path(ns string, key Key) string {
 	hex := key.String()

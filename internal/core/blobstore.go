@@ -1,7 +1,7 @@
 package core
 
 // The StageCache's shared substrate. A BlobStore (internal/blob) turns
-// the per-process memo table into a cross-process, cross-machine cache:
+// the per-process memo table into a cross-process cache:
 // every serializable stage artifact is written through to the store on
 // Put, and a memory miss consults the store before declaring a real
 // miss — so an architecture evaluated by any process against the same
@@ -18,12 +18,11 @@ import (
 )
 
 // BlobStore is the pluggable artifact substrate behind a StageCache:
-// Get/Put/Has by SHA-256 key inside a stage namespace. Three
+// Get/Put/Has by SHA-256 key inside a stage namespace. Two
 // implementations ship in internal/blob — in-memory (blob.Mem, the old
-// single-process behavior), local-directory CAS (blob.Dir, safe for
-// concurrent processes via atomic temp+fsync+rename writes) and an HTTP
-// remote client (blob.HTTP, served by cmd/served) — selected by
-// blob.Open("mem" | "dir:PATH" | "http://HOST").
+// single-process behavior) and local-directory CAS (blob.Dir, safe for
+// concurrent processes via atomic temp+fsync+rename writes) — selected
+// by blob.Open("mem" | "dir:PATH").
 type BlobStore = blob.Store
 
 // storeBacked marks the stages whose artifacts serialize to store blobs.
@@ -55,7 +54,7 @@ func (c *StageCache) SetStore(bs BlobStore) {
 
 // storeGet consults the attached store after a memory miss. A store hit
 // is decoded, installed in the memory tier and counted as a stage hit;
-// store trouble (network, decode, a codegen binary that does not exist
+// store trouble (I/O, decode, a codegen binary that does not exist
 // on this machine) degrades to a miss — the stage recomputes, evaluation
 // never fails on the store's account.
 func (c *StageCache) storeGet(bs BlobStore, s Stage, k CacheKey) (stageEntry, bool) {

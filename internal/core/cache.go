@@ -136,7 +136,7 @@ type StageStats struct {
 // treated as immutable.
 //
 // The memory tables are the first tier. With SetStore, a BlobStore
-// (internal/blob — shared directory or remote HTTP) becomes the second:
+// (internal/blob — a directory shared by processes) becomes the second:
 // serializable stage artifacts are written through on Put and consulted
 // on a memory miss, so processes sharing a store share every artifact
 // (see blobstore.go and docs/PIPELINE.md).

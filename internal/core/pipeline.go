@@ -63,9 +63,9 @@ type Pipeline struct {
 	// Cache memoizes stage artifacts; nil runs every stage every time.
 	// The cache is only valid for one Evaluator configuration.
 	Cache *StageCache
-	// Obs receives per-stage latency histograms (stage.<name>.ns),
-	// in-flight gauges (pipeline.<name>.inflight), one span per executed
-	// stage, simulator perf counters and synthesis phase timings. Nil
+	// Obs receives per-stage latency histograms (stage.<name>.ns), one
+	// span per executed stage, simulator perf counters and synthesis
+	// phase timings. Nil
 	// disables instrumentation entirely (no clock reads on the hot path).
 	// Obs does not bind the Cache's hit/miss counters — call
 	// Cache.Bind(Obs) for that.
@@ -252,7 +252,6 @@ func (p *Pipeline) runCodegen(parent *obs.Span, canonical string, d *isdl.Descri
 		} else {
 			sp = r.StartSpan(StageCodegen.String())
 		}
-		r.Gauge("pipeline." + StageCodegen.String() + ".inflight").Add(1)
 		start = time.Now()
 	}
 	br, err := gensim.Build(d)
@@ -262,7 +261,6 @@ func (p *Pipeline) runCodegen(parent *obs.Span, canonical string, d *isdl.Descri
 	}
 	if r != nil {
 		r.Histogram("stage." + StageCodegen.String() + ".ns").Observe(time.Since(start))
-		r.Gauge("pipeline." + StageCodegen.String() + ".inflight").Add(-1)
 		if err != nil {
 			sp.SetArg("err", err.Error())
 		} else {
@@ -312,8 +310,8 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 }
 
 // stageRun memoizes one stage execution: on a cache miss it runs the
-// stage — instrumented with a latency histogram, an in-flight gauge and a
-// span when the pipeline has a registry — and stores the artifact (or the
+// stage — instrumented with a latency histogram and a span when the
+// pipeline has a registry — and stores the artifact (or the
 // deterministic error) under the key. With a nil cache it just runs the
 // stage.
 func stageRun[T any](p *Pipeline, parent *obs.Span, s Stage, k CacheKey, run func() (T, error)) (T, error) {
@@ -333,13 +331,11 @@ func stageRun[T any](p *Pipeline, parent *obs.Span, s Stage, k CacheKey, run fun
 		} else {
 			sp = r.StartSpan(s.String())
 		}
-		r.Gauge("pipeline." + s.String() + ".inflight").Add(1)
 		start = time.Now()
 	}
 	t, err := run()
 	if r != nil {
 		r.Histogram("stage." + s.String() + ".ns").Observe(time.Since(start))
-		r.Gauge("pipeline." + s.String() + ".inflight").Add(-1)
 		if err != nil {
 			sp.SetArg("err", err.Error())
 		}

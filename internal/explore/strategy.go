@@ -281,9 +281,9 @@ func (e *engine) evalBase() (*core.Evaluation, float64, error) {
 	return eval, s, nil
 }
 
-// setBestScore publishes the best score so far for the live dashboard.
-// Gauges are integers, so the score travels in fixed-point milli-units
-// (the dashboard divides the .milli suffix back out).
+// setBestScore publishes the best score so far as a gauge. Gauges are
+// integers, so the score travels in fixed-point milli-units (the .milli
+// suffix).
 func (e *engine) setBestScore(s float64) {
 	e.obs().Gauge("explore.best.score.milli").Set(int64(s * 1000))
 }

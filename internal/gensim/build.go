@@ -50,7 +50,7 @@ func CacheDir() string {
 // The shared build store. When a blob.Store is attached (SetStore — the
 // CLIs wire their -store flag here), built simulator binaries are
 // published under a namespace keyed by generator version and platform,
-// so one machine's native build serves every other machine of the same
+// so one process's native build serves every other process of the same
 // platform sharing the store: the local fingerprint-keyed cache dir
 // stays the first tier, the store becomes the second — exactly the
 // StageCache arrangement (internal/core/blobstore.go).
@@ -123,8 +123,8 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := writeModule(dir, src); err != nil {
 		return nil, err
 	}
-	// Second tier: a binary another process (possibly on another machine
-	// of the same platform) already built and published. Store trouble
+	// Second tier: a binary another process of the same platform already
+	// built and published. Store trouble
 	// degrades to a local build, never a failure.
 	if st := getStore(); st != nil {
 		if data, err := st.Get(storeNS(), blob.KeyOf(fp)); err == nil {

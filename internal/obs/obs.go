@@ -23,7 +23,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,7 +59,7 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a point-in-time value (e.g. in-flight stage executions).
+// Gauge is a point-in-time value (e.g. the current frontier size).
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
@@ -150,10 +149,6 @@ type HistogramSnapshot struct {
 	P50Ns float64 `json:"p50_ns"`
 	P95Ns float64 `json:"p95_ns"`
 	P99Ns float64 `json:"p99_ns"`
-	// Buckets holds the raw power-of-two bucket counts (bucket b covers
-	// [2^(b-1), 2^b) ns). The Prometheus exporter renders them as
-	// cumulative `le` buckets; they are omitted from the JSON document.
-	Buckets []uint64 `json:"-"`
 }
 
 // MeanNs returns the average observation.
@@ -176,7 +171,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P50Ns = h.quantileLocked(0.50)
 	s.P95Ns = h.quantileLocked(0.95)
 	s.P99Ns = h.quantileLocked(0.99)
-	s.Buckets = append([]uint64(nil), h.buckets[:]...)
 	return s
 }
 
@@ -225,48 +219,27 @@ type Registry struct {
 	hists    map[string]*Histogram
 	lanes    map[int]string
 	spans    []SpanRecord
-	flight   *FlightRecorder
 	epoch    time.Time
-	traceID  uint64
 	spanID   atomic.Uint64
 }
 
 // NewRegistry returns an empty registry. The construction time is the
-// epoch all span timestamps are relative to, and the registry is born
-// with a random non-zero trace ID (see TraceContext) identifying this
-// process's span stream across process boundaries.
+// epoch all span timestamps are relative to.
 func NewRegistry() *Registry {
-	tid := rand.Uint64()
-	for tid == 0 {
-		tid = rand.Uint64()
-	}
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		lanes:    map[int]string{},
 		epoch:    time.Now(),
-		traceID:  tid,
 	}
 }
 
-// TraceID returns the registry's process-local trace identity (0 for a
-// nil registry).
-func (r *Registry) TraceID() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.traceID
-}
-
-// record stores one finished span and feeds the attached flight
-// recorder, if any.
+// record stores one finished span.
 func (r *Registry) record(rec SpanRecord) {
 	r.mu.Lock()
 	r.spans = append(r.spans, rec)
-	f := r.flight
 	r.mu.Unlock()
-	f.Record(rec)
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -236,7 +236,7 @@ func TestSpansAndTraceExport(t *testing.T) {
 func TestMetricsJSONExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cache.simulate.hits").Add(3)
-	r.Gauge("pipeline.simulate.inflight").Set(0)
+	r.Gauge("explore.frontier.size").Set(0)
 	r.Histogram("stage.simulate.ns").Observe(2 * time.Millisecond)
 	var buf bytes.Buffer
 	if err := r.WriteMetricsJSON(&buf); err != nil {
@@ -277,5 +277,39 @@ func TestWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestZeroCountHistogramAllExporters: a histogram that was created but
+// never observed renders in every exporter without NaN/Inf and keeps the
+// JSON documents valid.
+func TestZeroCountHistogramAllExporters(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("never.observed.ns") // count 0
+	sp := r.StartSpan("tick")
+	sp.End()
+
+	var text, metrics, trace bytes.Buffer
+	if err := r.WriteText(&text); err != nil {
+		t.Errorf("WriteText: %v", err)
+	}
+	if err := r.WriteMetricsJSON(&metrics); err != nil {
+		t.Errorf("WriteMetricsJSON: %v", err)
+	}
+	if err := r.WriteTrace(&trace); err != nil {
+		t.Errorf("WriteTrace: %v", err)
+	}
+	for name, out := range map[string]string{
+		"text": text.String(), "metrics": metrics.String(), "trace": trace.String(),
+	} {
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Errorf("%s exporter rendered NaN/Inf for a zero-count histogram:\n%s", name, out)
+		}
+	}
+	if !json.Valid(metrics.Bytes()) {
+		t.Error("metrics JSON invalid for zero-count histogram")
+	}
+	if !json.Valid(trace.Bytes()) {
+		t.Error("trace JSON invalid for zero-count histogram")
 	}
 }

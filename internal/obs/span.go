@@ -83,16 +83,7 @@ func (s *Span) SetArg(key, value string) {
 	s.args[key] = value
 }
 
-// ID returns the span's registry-local identity (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// End finishes the span and records it in the registry (and the
-// registry's flight recorder, when one is attached).
+// End finishes the span and records it in the registry.
 func (s *Span) End() {
 	if s == nil {
 		return
