@@ -11,8 +11,7 @@
 //	        [-frontier-out frontier.json|frontier.csv] [-frontier-cap n]
 //	        [-restarts n] [-seed s] [-iters 8] [-workers n]
 //	        [-sim-backend interp|compiled|aot]
-//	        [-no-cache] [-cache-file c.json]
-//	        [-store dir:PATH] [-o best.isdl]
+//	        [-no-cache] [-store dir:PATH] [-o best.isdl]
 //
 // Strategies (-strategy, docs/EXPLORE.md):
 //
@@ -34,20 +33,15 @@
 // reports each restart's best plus the global winner.
 //
 // Neighbour candidates within an iteration are evaluated concurrently
-// (-workers, default NumCPU) and every pipeline stage is memoized across
+// (-workers, default NumCPU) and every evaluation is memoized across
 // iterations and restarts (see docs/PIPELINE.md); for every strategy the
-// result is bit-identical to a sequential, uncached run. -cache-file
-// persists the serializable stages (compile, simulate, synthesize) across
-// invocations: the file is loaded if it exists (a missing file is a
-// normal first run; a corrupt one is a hard error) and rewritten on
-// success, so a repeated exploration starts with compilation and
-// synthesis fully warm.
+// result is bit-identical to a sequential, uncached run.
 //
-// -store dir:PATH attaches a shared artifact store (docs/PIPELINE.md): a
-// directory any number of concurrent processes may share. Every
-// serializable stage artifact — including whole evaluations and aot
-// simulator binaries — is read from and written through to the store, so
-// two explorers sharing it never evaluate the same architecture twice.
+// -store dir:PATH backs the memo with a shared store (docs/PIPELINE.md): a
+// directory any number of concurrent processes may share, and the one way
+// to reuse results across runs. Every evaluation, and every aot simulator
+// binary, is read from and written through to the store, so two explorers
+// sharing it never evaluate the same architecture twice.
 //
 // The run is instrumented end to end (docs/OBSERVABILITY.md): -trace-out
 // writes a Chrome trace_event file (open in chrome://tracing or
@@ -94,7 +88,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations per iteration (0 = NumCPU)")
 	simBackend := flag.String("sim-backend", "", "simulator backend for evaluations: interp, compiled (default) or aot (docs/GENSIM.md)")
 	noCache := flag.Bool("no-cache", false, "disable evaluation memoization across iterations")
-	cacheFile := flag.String("cache-file", "", "persist the stage cache here across runs (loaded if present, saved on success)")
 	storeSpec := flag.String("store", "", "shared artifact store directory: dir:PATH (see docs/PIPELINE.md)")
 	out := flag.String("o", "", "write the winning ISDL description here")
 	wRun := flag.Float64("w-runtime", 1, "objective weight: run time (us)")
@@ -154,21 +147,12 @@ func main() {
 	var cache *core.EvalCache
 	if !*noCache {
 		cache = core.NewEvalCache()
-		if *cacheFile != "" {
-			if loaded, err := cache.Stages().LoadFileIfExists(*cacheFile); err != nil {
-				fatal(err) // corrupt/unreadable: never silently start cold
-			} else if loaded {
-				fmt.Printf("loaded stage cache %s (%d artifacts)\n", *cacheFile, cache.Stages().Len())
-			} else {
-				fmt.Printf("no stage cache at %s yet; starting empty\n", *cacheFile)
-			}
-		}
 		if *storeSpec != "" {
 			st, err := blob.Open(*storeSpec)
 			if err != nil {
 				fatal(err)
 			}
-			cache.Stages().SetStore(st)
+			cache.SetStore(st)
 			gensim.SetStore(st) // share built aot simulator binaries too
 			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 		}
@@ -220,17 +204,12 @@ func main() {
 	fmt.Print(res.Report())
 	if cache != nil {
 		opHits, opMisses := xsim.SharedOpCache().Stats()
-		fmt.Printf("stage cache: %s\n", cache.Stages().StatsLine())
+		hits, misses := cache.Stats()
+		fmt.Printf("eval cache: %d hits / %d misses\n", hits, misses)
 		fmt.Printf("op-closure cache: %d reused / %d compiled\n", opHits, opMisses)
 		if *storeSpec != "" {
-			sh, sm, se := cache.Stages().StoreStats()
+			sh, sm, se := cache.StoreStats()
 			fmt.Printf("blob store: %d served / %d absent / %d errors\n", sh, sm, se)
-		}
-		if *cacheFile != "" {
-			if err := cache.Stages().SaveFile(*cacheFile); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved stage cache %s (%d artifacts)\n", *cacheFile, cache.Stages().Len())
 		}
 	}
 	if *frontierOut != "" {

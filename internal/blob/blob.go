@@ -1,20 +1,18 @@
 // Package blob is the shared content-addressed artifact substrate
 // (ROADMAP item 2): a Store holds immutable blobs under a SHA-256 key
-// inside a flat namespace (one namespace per pipeline stage or artifact
-// family), so any artifact produced by one process — a compiled kernel,
-// a simulation measurement, a synthesized cost model, a built aot
-// simulator binary — is available to every other process sharing the
-// store. Two implementations ship:
+// inside a flat namespace (one namespace per artifact family), so any
+// artifact produced by one process — a whole candidate evaluation, a
+// built aot simulator binary — is available to every other process
+// sharing the store. Two implementations ship:
 //
-//   - Mem: in-process map, the single-process behavior the StageCache
-//     always had.
+//   - Mem: in-process map, for a single process and for tests.
 //   - Dir: one file per blob under a root directory, written atomically
 //     (temp+fsync+rename via internal/atomicfile) so concurrent
 //     processes sharing the directory never observe a partial blob.
 //
-// Keys are produced by the callers (internal/core stage keys hash the
-// exact inputs a stage reads; internal/gensim keys by description
-// fingerprint), so the store itself is a dumb, durable map: a blob's
+// Keys are produced by the callers (internal/core's evaluation cache
+// hashes the exact inputs an evaluation reads; internal/gensim keys by
+// description fingerprint), so the store itself is a dumb, durable map: a blob's
 // bytes are fully determined by its key, writes of the same key are
 // idempotent, and entries never expire.
 package blob

@@ -2,9 +2,8 @@ package blob
 
 import "sync"
 
-// Mem is the in-process Store: a mutex-guarded map. It is the
-// single-process behavior the stage cache always had, and the test
-// double for everything layered on Store.
+// Mem is the in-process Store: a mutex-guarded map, and the test double
+// for everything layered on Store.
 type Mem struct {
 	mu sync.RWMutex
 	m  map[string]map[Key][]byte

@@ -1,58 +1,51 @@
 package core
 
-// Stage-level memoization. One hill-climbing iteration regenerates many
-// candidates a previous iteration already scored (only one operation
-// changes per accepted move), and the paper's single-description design
-// makes every generated tool a pure function of its inputs: synthesis
-// depends only on the ISDL description, compilation and assembly only on
-// the (description, kernel) pair, simulation only on the description and
-// the program image. The StageCache keys each pipeline stage's artifact by
-// a cryptographic hash of exactly those inputs — canonical ISDL text
-// (isdl.Format output) so that formatting differences never split
-// equivalent architectures — so a stage re-runs only when something it
-// actually reads has changed. The legacy EvalCache is a thin view of the
-// final (combine) stage.
+// Evaluation memoization. The paper's Figure 1 loop evaluates each
+// candidate as a whole: one ISDL description and one workload produce one
+// (runtime, area, power) figure, and every tool generated from the
+// description is a pure function of it. The EvalCache therefore memoizes
+// whole evaluations, keyed by a cryptographic hash of the canonical ISDL
+// text (isdl.Format output, so formatting differences never split
+// equivalent architectures), the kernel, and the evaluator settings the
+// figures depend on. With SetStore, a blob store (internal/blob) backs the
+// memo: evaluations are written through and consulted on a memory miss, so
+// processes sharing a store directory never evaluate the same candidate
+// twice.
 
 import (
 	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
+	"repro/internal/blob"
 	"repro/internal/obs"
 )
 
 // Stage enumerates the evaluation pipeline's stages (docs/PIPELINE.md).
+// Stage names label spans and the stage.<name>.ns latency histograms.
 type Stage uint8
 
 const (
-	// StageParse is ISDL parsing + canonicalization. It is never cached —
-	// the artifact would be a mutable AST, which stages deliberately do
-	// not share across goroutines — but its runs are counted so the
-	// metrics show the full pipeline.
+	// StageParse is ISDL parsing + canonicalization.
 	StageParse Stage = iota
-	// StageCompile is the retargetable compiler: (canonical ISDL, kernel)
-	// → assembly text.
+	// StageCompile is the retargetable compiler: kernel → assembly text.
 	StageCompile
-	// StageAssemble is the assembler: (canonical ISDL, kernel) →
-	// *asm.Program.
+	// StageAssemble is the assembler: assembly text → *asm.Program.
 	StageAssemble
-	// StageSimulate is the instruction-level simulator: (canonical ISDL,
-	// program image) → SimArtifact.
+	// StageSimulate is the instruction-level simulator: program →
+	// SimArtifact.
 	StageSimulate
-	// StageSynthesize is the hardware model: canonical ISDL →
-	// SynthArtifact.
+	// StageSynthesize is the hardware model: description → SynthArtifact.
 	StageSynthesize
 	// StageCombine folds simulation and synthesis into the final
-	// *Evaluation, keyed like the whole pipeline: (canonical ISDL,
-	// kernel) via EvalKey.
+	// *Evaluation.
 	StageCombine
 	// StageCodegen is the aot simulator generator (internal/gensim):
-	// canonical ISDL → generated+compiled specialized simulator binary.
-	// Only run when the evaluator selects the aot backend. Memoized in
-	// process (success and unsupported-description outcomes) but never
-	// persisted — the artifact is a path into gensim's own on-disk build
-	// cache, which already survives processes.
+	// description → generated and compiled specialized simulator binary.
+	// Only run when the evaluator selects the aot backend; gensim's own
+	// build cache keeps the binaries.
 	StageCodegen
 	// NumStages is the stage count (for iteration).
 	NumStages
@@ -68,16 +61,15 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// CacheKey identifies one stage artifact (or one whole-pipeline
-// evaluation). Build it with StageKey, or EvalKey for the final stage.
+// CacheKey identifies one memoized evaluation. Build it with EvalKey.
 type CacheKey [sha256.Size]byte
 
-// StageKey hashes a stage tag and its input parts into a cache key. Every
-// part is length-prefixed, so no two distinct part sequences collide by
-// concatenation, and the stage tag separates the key domains.
-func StageKey(s Stage, parts ...string) CacheKey {
+// EvalKey hashes its parts — the pipeline passes the evaluator settings,
+// the canonical ISDL text and the kernel — into a memo key. Every part is
+// length-prefixed, so no two distinct part sequences collide by
+// concatenation.
+func EvalKey(parts ...string) CacheKey {
 	h := sha256.New()
-	h.Write([]byte{'s', byte(s)})
 	var n [8]byte
 	for _, p := range parts {
 		for i, l := 0, len(p); i < 8; i++ {
@@ -91,89 +83,70 @@ func StageKey(s Stage, parts ...string) CacheKey {
 	return k
 }
 
-// EvalKey hashes a canonical ISDL source and a workload identity (the kernel
-// or assembly text plus any label that selects the workload) into the final
-// stage's cache key. The two inputs are length-prefix separated, so no pair
-// of distinct (source, workload) inputs can collide by concatenation.
-func EvalKey(canonicalISDL, workload string) CacheKey {
-	h := sha256.New()
-	var n [8]byte
-	for i, l := 0, len(canonicalISDL); i < 8; i++ {
-		n[i] = byte(l >> (8 * i))
-	}
-	h.Write(n[:])
-	h.Write([]byte(canonicalISDL))
-	h.Write([]byte(workload))
-	var k CacheKey
-	h.Sum(k[:0])
-	return k
-}
+// persistVersion is part of the store namespace, so a store populated by
+// an older toolchain is simply invisible to a newer one instead of
+// misread. Bump it whenever the blob format or the key composition
+// changes. Version 3: one namespace of whole evaluations, keyed by the
+// evaluator settings as well.
+const persistVersion = 3
 
-// stageEntry records one completed stage run: either an artifact or the
-// deterministic error the stage produced (an infeasible candidate stays
-// infeasible, so failures are worth memoizing too).
-type stageEntry struct {
-	val any
+// storeNS is the memo's blob namespace.
+var storeNS = fmt.Sprintf("eval.v%d", persistVersion)
+
+// memoEntry is one completed evaluation: the figures or the deterministic
+// error the pipeline produced (an infeasible candidate stays infeasible,
+// so failures are worth memoizing too).
+type memoEntry struct {
+	ev  *Evaluation
 	err error
 }
 
-// StageStats are one stage's hit and miss counts.
-type StageStats struct {
-	Hits, Misses uint64
+// storedEntry is a memo entry's blob body: exactly one of Err and Eval is
+// set. The live hardware model does not travel.
+type storedEntry struct {
+	Err  string      `json:"err,omitempty"`
+	Eval *Evaluation `json:"eval,omitempty"`
 }
 
-// StageCache is a thread-safe memo table for pipeline stage artifacts. A
-// cache is only valid for one evaluator configuration (technology library,
-// synthesis options, instruction limit) — the keys do not cover it — so
-// use a fresh cache per configuration. Entries never expire otherwise: a
-// stage's inputs fully determine its deterministic result.
-//
-// Hit and miss counts live in obs.Counter instruments: standalone ones by
-// default, or — after Bind — counters owned by an obs.Registry, so cache
-// traffic appears in exported metrics under cache.<stage>.hits/.misses.
-//
-// Cached artifacts are shared across callers (and goroutines) and must be
+// EvalCache is a thread-safe memo of whole evaluations. Entries never
+// expire: a key fully determines its deterministic result. Cached
+// evaluations are shared across callers (and goroutines) and must be
 // treated as immutable.
 //
-// The memory tables are the first tier. With SetStore, a BlobStore
-// (internal/blob — a directory shared by processes) becomes the second:
-// serializable stage artifacts are written through on Put and consulted
-// on a memory miss, so processes sharing a store share every artifact
-// (see blobstore.go and docs/PIPELINE.md).
-type StageCache struct {
+// Hit and miss counts live in obs.Counter instruments: standalone ones by
+// default, or — after Bind — counters owned by an obs.Registry, so memo
+// traffic appears in exported metrics as cache.combine.hits/.misses and
+// the store's as cache.store.hits/.misses/.errors.
+type EvalCache struct {
 	mu     sync.Mutex
-	tables [NumStages]map[CacheKey]stageEntry
-	hits   [NumStages]*obs.Counter
-	misses [NumStages]*obs.Counter
+	table  map[CacheKey]memoEntry
+	hits   *obs.Counter
+	misses *obs.Counter
 	bound  *obs.Registry // registry the counters live in, nil if standalone
-	store  BlobStore     // second tier, nil for memory-only
-	// Store-tier traffic, in registry counters after Bind
-	// (cache.store.hits/.misses/.errors).
+	store  blob.Store    // backing store, nil for memory-only
+	// Store traffic: lookups it served, lookups it could not answer, and
+	// I/O or decode errors that degraded to recomputation.
 	storeHits, storeMisses, storeErrs *obs.Counter
 }
 
-// NewStageCache returns an empty cache.
-func NewStageCache() *StageCache {
-	c := &StageCache{}
-	for i := range c.tables {
-		c.tables[i] = map[CacheKey]stageEntry{}
-		c.hits[i] = obs.NewCounter()
-		c.misses[i] = obs.NewCounter()
+// NewEvalCache returns an empty memory-only cache.
+func NewEvalCache() *EvalCache {
+	return &EvalCache{
+		table:       map[CacheKey]memoEntry{},
+		hits:        obs.NewCounter(),
+		misses:      obs.NewCounter(),
+		storeHits:   obs.NewCounter(),
+		storeMisses: obs.NewCounter(),
+		storeErrs:   obs.NewCounter(),
 	}
-	c.storeHits = obs.NewCounter()
-	c.storeMisses = obs.NewCounter()
-	c.storeErrs = obs.NewCounter()
-	return c
 }
 
-// Bind re-homes the cache's hit/miss counters into a registry, under
-// cache.<stage>.hits and cache.<stage>.misses. Counts accumulated so far
-// carry over, and every future Get/countRun lands in the registry's
-// counters, so cache traffic shows up in its exports. Binding the same
-// registry again is a no-op (so repeated Explorer.Run calls over a shared
-// cache never double-count); binding a different registry migrates the
-// current counts there.
-func (c *StageCache) Bind(r *obs.Registry) {
+// Bind re-homes the cache's counters into a registry. Counts accumulated
+// so far carry over, and all later traffic lands in the registry's
+// counters. Binding the same registry again is a no-op (so repeated runs
+// over a shared cache never double-count); binding a different registry
+// migrates the current counts there.
+func (c *EvalCache) Bind(r *obs.Registry) {
 	if r == nil {
 		return
 	}
@@ -183,18 +156,12 @@ func (c *StageCache) Bind(r *obs.Registry) {
 		return
 	}
 	c.bound = r
-	for s := Stage(0); s < NumStages; s++ {
-		h := r.Counter("cache." + s.String() + ".hits")
-		h.Add(c.hits[s].Value())
-		c.hits[s] = h
-		m := r.Counter("cache." + s.String() + ".misses")
-		m.Add(c.misses[s].Value())
-		c.misses[s] = m
-	}
 	for _, ct := range []struct {
 		name string
 		c    **obs.Counter
 	}{
+		{"cache.combine.hits", &c.hits},
+		{"cache.combine.misses", &c.misses},
 		{"cache.store.hits", &c.storeHits},
 		{"cache.store.misses", &c.storeMisses},
 		{"cache.store.errors", &c.storeErrs},
@@ -205,144 +172,120 @@ func (c *StageCache) Bind(r *obs.Registry) {
 	}
 }
 
-// Get looks up a stage's key, counting a hit or a miss. On a hit it
-// returns the memoized artifact or error. A memory miss consults the
-// attached BlobStore (if any) for the serializable stages before
-// counting the miss; a store hit installs the entry in memory and counts
-// as a hit, so StageStats reflect work avoided, wherever the artifact
-// came from.
-func (c *StageCache) Get(s Stage, k CacheKey) (val any, err error, ok bool) {
+// SetStore attaches the backing blob store (blob.Open("mem" | "dir:PATH")).
+// Set it before evaluation starts; entries already memoized are not
+// backfilled. A nil store detaches (memory-only, the default).
+func (c *EvalCache) SetStore(bs blob.Store) {
 	c.mu.Lock()
-	if e, ok := c.tables[s][k]; ok {
-		c.hits[s].Inc()
-		c.mu.Unlock()
-		return e.val, e.err, true
-	}
-	bs := c.store
+	c.store = bs
 	c.mu.Unlock()
-	if bs != nil && storeBacked[s] {
-		if e, ok := c.storeGet(bs, s, k); ok {
-			return e.val, e.err, true
-		}
-	}
-	c.mu.Lock()
-	c.misses[s].Inc()
-	c.mu.Unlock()
-	return nil, nil, false
 }
 
-// Put stores a completed stage artifact (or its deterministic failure)
-// under a key, writing serializable stages through to the attached
-// BlobStore. Concurrent Puts for the same key are benign: every stage is
-// a pure function of the key, so every writer stores the same result.
-func (c *StageCache) Put(s Stage, k CacheKey, val any, err error) {
-	e := stageEntry{val: val, err: err}
-	c.mu.Lock()
-	c.tables[s][k] = e
-	bs := c.store
-	c.mu.Unlock()
-	if bs != nil && storeBacked[s] {
-		c.storePut(bs, s, k, e)
-	}
-}
-
-// countRun records an uncached stage execution (StageParse) as a miss, so
-// per-stage metrics cover the full pipeline.
-func (c *StageCache) countRun(s Stage) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.misses[s].Inc()
-}
-
-// PerStage returns the hit and miss counts of every stage, indexed by
-// Stage.
-func (c *StageCache) PerStage() [NumStages]StageStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out [NumStages]StageStats
-	for s := range out {
-		out[s] = StageStats{Hits: c.hits[s].Value(), Misses: c.misses[s].Value()}
-	}
-	return out
-}
-
-// Stats returns the aggregate hit and miss counts across all stages.
-func (c *StageCache) Stats() (hits, misses uint64) {
-	ps := c.PerStage()
-	for _, s := range ps {
-		hits += s.Hits
-		misses += s.Misses
-	}
-	return hits, misses
-}
-
-// StatsLine renders the per-stage counters compactly for logs, one
-// "name hits/misses" pair per stage in pipeline order.
-func (c *StageCache) StatsLine() string {
-	ps := c.PerStage()
-	parts := make([]string, 0, NumStages)
-	for s := Stage(0); s < NumStages; s++ {
-		parts = append(parts, fmt.Sprintf("%s %d/%d", s, ps[s].Hits, ps[s].Misses))
-	}
-	return strings.Join(parts, " ")
-}
-
-// Len returns the total number of memoized artifacts across all stages.
-func (c *StageCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.tables {
-		n += len(t)
-	}
-	return n
-}
-
-// StageLen returns the number of memoized artifacts of one stage.
-func (c *StageCache) StageLen(s Stage) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tables[s])
-}
-
-// EvalCache is the legacy whole-pipeline memo table, kept as a thin
-// compatibility layer over the final (combine) stage of a StageCache.
-// Share one across exploration runs only if the Evaluator configuration is
-// identical (stage keys cover the description, kernel and program image,
-// but not the evaluator configuration).
-type EvalCache struct {
-	stages *StageCache
-}
-
-// NewEvalCache returns an empty cache.
-func NewEvalCache() *EvalCache { return &EvalCache{stages: NewStageCache()} }
-
-// Stages exposes the underlying per-stage cache (for the staged pipeline,
-// per-stage metrics and persistence).
-func (c *EvalCache) Stages() *StageCache { return c.stages }
-
-// Get looks up a final-stage key, counting a hit or a miss. On a hit it
-// returns the memoized evaluation or error.
+// Get looks up a key, counting a hit or a miss. On a hit it returns the
+// memoized evaluation or error. A memory miss consults the attached store
+// before counting the miss; a store hit is installed in memory and counts
+// as a hit, so Stats reflect work avoided wherever the evaluation came
+// from. Store trouble degrades to a miss: the candidate is recomputed,
+// never failed on the store's account.
 func (c *EvalCache) Get(k CacheKey) (ev *Evaluation, err error, ok bool) {
-	v, err, ok := c.stages.Get(StageCombine, k)
-	if e, isEval := v.(*Evaluation); isEval {
-		return e, err, ok
+	c.mu.Lock()
+	e, ok := c.table[k]
+	bs := c.store
+	if ok {
+		c.hits.Inc()
+	} else if bs == nil {
+		c.misses.Inc()
 	}
-	return nil, err, ok
+	c.mu.Unlock()
+	if !ok && bs != nil {
+		e, ok = c.storeGet(bs, k)
+	}
+	return e.ev, e.err, ok
+}
+
+// storeGet reads one entry from the store after a memory miss and counts
+// the lookup's outcome.
+func (c *EvalCache) storeGet(bs blob.Store, k CacheKey) (memoEntry, bool) {
+	data, err := bs.Get(storeNS, blob.Key(k))
+	var se storedEntry
+	if err == nil {
+		err = json.Unmarshal(data, &se)
+	}
+	if err == nil && se.Err == "" && se.Eval == nil {
+		err = errors.New("blob carries no evaluation")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.misses.Inc()
+		if errors.Is(err, blob.ErrNotFound) {
+			c.storeMisses.Inc()
+		} else {
+			c.storeErrs.Inc()
+		}
+		return memoEntry{}, false
+	}
+	e := memoEntry{ev: se.Eval}
+	if se.Err != "" {
+		e = memoEntry{err: errors.New(se.Err)}
+	}
+	c.table[k] = e
+	c.hits.Inc()
+	c.storeHits.Inc()
+	return e, true
 }
 
 // Put stores a completed evaluation (or its deterministic failure) under a
-// final-stage key.
+// key and writes it through to the attached store; a store write error is
+// counted and otherwise ignored, since memory already has the entry.
+// Concurrent Puts for the same key are benign: evaluation is a pure
+// function of the key, so every writer stores the same result.
 func (c *EvalCache) Put(k CacheKey, ev *Evaluation, err error) {
-	c.stages.Put(StageCombine, k, ev, err)
+	c.mu.Lock()
+	c.table[k] = memoEntry{ev: ev, err: err}
+	bs := c.store
+	c.mu.Unlock()
+	if bs == nil || (ev == nil && err == nil) {
+		return
+	}
+	var se storedEntry
+	if err != nil {
+		se.Err = err.Error()
+	} else {
+		cp := *ev
+		cp.Hardware = nil // figures travel, the live model does not
+		se.Eval = &cp
+	}
+	data, jerr := json.Marshal(&se)
+	if jerr == nil {
+		jerr = bs.Put(storeNS, blob.Key(k), data)
+	}
+	if jerr != nil {
+		c.mu.Lock()
+		c.storeErrs.Inc()
+		c.mu.Unlock()
+	}
 }
 
-// Stats returns the final stage's hit and miss counts — the whole-pipeline
-// memoization rate. Use Stages().PerStage() for the per-stage breakdown.
+// Stats returns the memo's hit and miss counts.
 func (c *EvalCache) Stats() (hits, misses uint64) {
-	s := c.stages.PerStage()[StageCombine]
-	return s.Hits, s.Misses
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits.Value(), c.misses.Value()
+}
+
+// StoreStats returns the store traffic: lookups the attached store served,
+// lookups it could not answer, and store or decode errors that degraded to
+// recomputation.
+func (c *EvalCache) StoreStats() (hits, misses, errors uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.storeHits.Value(), c.storeMisses.Value(), c.storeErrs.Value()
 }
 
 // Len returns the number of memoized evaluations.
-func (c *EvalCache) Len() int { return c.stages.StageLen(StageCombine) }
+func (c *EvalCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.table)
+}

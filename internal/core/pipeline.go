@@ -6,12 +6,11 @@ package core
 //	Parse → CompileKernel → Assemble → Simulate ┐
 //	                      Synthesize ───────────┴→ Combine
 //
-// Each stage is a pure function of its inputs, so the Pipeline memoizes
-// every stage in a StageCache keyed by exactly those inputs (see cache.go
-// and docs/PIPELINE.md): a kernel-only change reuses the Synthesize
-// artifact, a formatting-only change reuses everything, and a persisted
-// cache makes repeated CLI explorations start with compilation and
-// synthesis fully warm.
+// Every stage is a pure function of the description, the kernel and the
+// evaluator settings, so the Pipeline memoizes the whole walk in an
+// EvalCache keyed by exactly those inputs (see cache.go and
+// docs/PIPELINE.md): a formatting-only change, a revisited candidate or a
+// second process sharing the same store reuses the evaluation.
 
 import (
 	"fmt"
@@ -23,62 +22,50 @@ import (
 	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/obs"
+	"repro/internal/tech"
 	"repro/internal/xsim"
 )
 
 // SimArtifact is the Simulate stage's result: the measurements Combine
-// needs, detached from the live simulator. Cached artifacts are shared and
-// must be treated as immutable.
+// needs, detached from the live simulator.
 type SimArtifact struct {
 	Cycles uint64
 	Stats  *xsim.Stats
 }
 
-// CodegenArtifact is the Codegen stage's result: where the aot simulator
-// binary for the description landed in gensim's on-disk build cache.
-type CodegenArtifact struct {
-	Fingerprint string
-	Bin         string
-	// BuildNs is the generate+compile time; zero when gensim's own disk
-	// cache already held the binary.
-	BuildNs int64
-}
-
 // SynthArtifact is the Synthesize stage's result: the cost figures Combine
-// needs. Result carries the full hardware model when synthesis ran in this
-// process; it is dropped by cache persistence (only the figures are
-// serialized), so evaluations rebuilt from a loaded cache have a nil
-// Hardware.
+// needs, plus the full hardware model (Result) when synthesis ran in this
+// process.
 type SynthArtifact struct {
 	CycleNs          float64
 	AreaCells        float64
 	EnergyPerInstrPJ float64
-	Result           *hgen.Result `json:"-"`
+	Result           *hgen.Result
 }
 
-// Pipeline runs the staged methodology with per-stage memoization.
+// Pipeline runs the staged methodology with whole-evaluation memoization.
 type Pipeline struct {
 	// Evaluator configures the methodology; nil uses NewEvaluator().
 	Evaluator *Evaluator
-	// Cache memoizes stage artifacts; nil runs every stage every time.
-	// The cache is only valid for one Evaluator configuration.
-	Cache *StageCache
+	// Cache memoizes evaluations; nil runs every stage every time. The
+	// key covers the Evaluator's settings, so one cache (and one store)
+	// may serve pipelines with different evaluators.
+	Cache *EvalCache
 	// Obs receives per-stage latency histograms (stage.<name>.ns), one
 	// span per executed stage, simulator perf counters and synthesis
-	// phase timings. Nil
-	// disables instrumentation entirely (no clock reads on the hot path).
-	// Obs does not bind the Cache's hit/miss counters — call
-	// Cache.Bind(Obs) for that.
+	// phase timings. Nil disables instrumentation entirely (no clock
+	// reads on the hot path). Obs does not bind the Cache's hit/miss
+	// counters — call Cache.Bind(Obs) for that.
 	Obs *obs.Registry
 }
 
 // EvaluateKernel runs the full pipeline for one candidate ISDL source and
 // one kernel-language workload: parse, compile the kernel, assemble,
-// simulate, synthesize, and combine. Every stage after parsing is
-// memoized when a cache is configured. Parse errors are returned uncached
-// (an unparsable text has no canonical form to key by); all later
-// deterministic failures are memoized under the final key too, so an
-// infeasible candidate is rejected once per cache lifetime.
+// simulate, synthesize, and combine. With a cache configured, the result
+// of every parsable candidate is memoized. Parse errors are returned
+// uncached (an unparsable text has no canonical form to key by); all
+// later deterministic failures are memoized too, so an infeasible
+// candidate is rejected once per cache lifetime.
 func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string) (*Evaluation, error) {
 	return p.EvaluateKernelTraced(isdlSrc, kernel, workload, nil)
 }
@@ -92,13 +79,6 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 	if ev == nil {
 		ev = NewEvaluator()
 	}
-	c := p.Cache
-
-	// Parse + canonicalize. Never cached: the artifact would be a mutable
-	// AST, which stages deliberately do not share across candidates.
-	if c != nil {
-		c.countRun(StageParse)
-	}
 	var start time.Time
 	if p.Obs != nil {
 		start = time.Now()
@@ -110,80 +90,66 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 	if err != nil {
 		return nil, fmt.Errorf("core: parse ISDL: %w", err)
 	}
-	canonical := isdl.Format(d)
 
-	finalKey := EvalKey(canonical, kernel)
-	if c != nil {
-		if v, err, ok := c.Get(StageCombine, finalKey); ok {
-			e, _ := v.(*Evaluation)
-			return e, err
-		}
+	c := p.Cache
+	if c == nil {
+		return p.runStages(ev, d, kernel, workload, parent)
 	}
-	e, err := p.runStages(ev, c, d, canonical, kernel, workload, parent)
-	if c != nil {
-		c.Put(StageCombine, finalKey, e, err)
+	key := EvalKey(ev.settingsKey(), isdl.Format(d), kernel)
+	if e, err, ok := c.Get(key); ok {
+		return e, err
 	}
+	e, err := p.runStages(ev, d, kernel, workload, parent)
+	c.Put(key, e, err)
 	return e, err
 }
 
-// runStages is the post-parse pipeline; every stage memoized individually.
-func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, canonical, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
+// settingsKey renders the evaluator settings an evaluation's figures
+// depend on, for the memo key: the technology library, the synthesis
+// options and the instruction limit. SimBackend is left out on purpose —
+// the backends agree by contract (the gauntlet checks it).
+func (ev *Evaluator) settingsKey() string {
+	var lib tech.Library
+	if ev.Lib != nil {
+		lib = *ev.Lib
+	}
+	return fmt.Sprintf("%+v %+v %d", lib, ev.Synthesis, ev.MaxInstructions)
+}
+
+// runStages is the post-parse pipeline.
+func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
 	// Codegen: with the aot backend, generating and natively compiling the
-	// specialized simulator is a first-class pipeline stage — cached,
-	// spanned and timed like the others — so the cost the paper attributes
-	// to simulator generation (§3.3) is visible in the same instruments.
-	// A codegen failure downgrades this evaluation to the compiled
-	// backend; it never fails the candidate.
+	// specialized simulator is a first-class pipeline stage — spanned and
+	// timed like the others — so the cost the paper attributes to
+	// simulator generation (§3.3) is visible in the same instruments. A
+	// codegen failure downgrades this evaluation to the compiled backend;
+	// it never fails the candidate.
 	simBackend := ev.SimBackend
 	if simBackend == xsim.BackendAOT {
-		if _, err := p.runCodegen(parent, canonical, d); err != nil {
+		if err := p.runCodegen(parent, d); err != nil {
 			simBackend = xsim.BackendCompiled
 		}
 	}
 
-	// CompileKernel: (canonical ISDL, kernel) → assembly text.
-	asmText, err := stageRun(p, parent, StageCompile, StageKey(StageCompile, canonical, kernel), func() (string, error) {
+	asmText, err := stageRun(p, parent, StageCompile, func() (string, error) {
 		return compiler.Compile(d, kernel)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Assemble: (canonical ISDL, kernel) → *asm.Program. The compiler is
-	// deterministic, so the kernel stands in for its assembly output in
-	// the key. A cached program may have been assembled against an
-	// earlier, textually identical parse of the description; programs are
-	// read-only after assembly, so sharing is sound.
-	prog, err := stageRun(p, parent, StageAssemble, StageKey(StageAssemble, canonical, kernel), func() (*asm.Program, error) {
+	prog, err := stageRun(p, parent, StageAssemble, func() (*asm.Program, error) {
 		return asm.Assemble(d, asmText)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Simulate: (canonical ISDL, program image) → SimArtifact. Keyed by
-	// the marshalled image — not the kernel — so callers that feed
-	// hand-written or hand-optimized assembly share entries with compiled
-	// kernels that produce the same program.
-	img := asm.Marshal(prog)
-	simArt, err := stageRun(p, parent, StageSimulate, StageKey(StageSimulate, canonical, string(img)), func() (SimArtifact, error) {
+	simArt, err := stageRun(p, parent, StageSimulate, func() (SimArtifact, error) {
 		return runSimulation(d, prog, ev.MaxInstructions, workload, simBackend, p.Obs)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Synthesize: independent of the workload, so a kernel change reuses
-	// the hardware model — and keyed by the structural fingerprint of what
-	// synthesis actually reads (layout, RTL, costs, signature shapes), not
-	// the whole canonical text, so an encoding-only mutation (opcode
-	// reassignment) reuses the artifact too. Verilog emission embeds the
-	// opcode values, so that mode keys by the full canonical text.
-	synthKey := StageKey(StageSynthesize, "fp", isdl.SynthFingerprint(d).String())
-	if ev.Synthesis.EmitVerilog {
-		synthKey = StageKey(StageSynthesize, canonical)
-	}
-	synthArt, err := stageRun(p, parent, StageSynthesize, synthKey, func() (SynthArtifact, error) {
+	synthArt, err := stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
 		hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
 		if err != nil {
 			return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
@@ -202,8 +168,8 @@ func (p *Pipeline) runStages(ev *Evaluator, c *StageCache, d *isdl.Description, 
 		return nil, err
 	}
 
-	// Combine: pure arithmetic over the two artifacts; not cached on its
-	// own (the final key memoizes the result in EvaluateKernel).
+	// Combine: pure arithmetic over the two artifacts, timed but not
+	// spanned.
 	var start time.Time
 	if p.Obs != nil {
 		start = time.Now()
@@ -230,51 +196,32 @@ func publishSynth(r *obs.Registry, hw *hgen.Result) {
 }
 
 // runCodegen generates and natively compiles the aot simulator for the
-// description, memoizing deterministic outcomes (a built binary, or an
-// unsupported-description rejection) under the canonical text. Environmental
-// failures — toolchain missing, backend disabled — are not cached, so a
-// host that gains a toolchain mid-process is picked up.
-func (p *Pipeline) runCodegen(parent *obs.Span, canonical string, d *isdl.Description) (CodegenArtifact, error) {
-	c := p.Cache
-	k := StageKey(StageCodegen, canonical)
-	if c != nil {
-		if v, err, ok := c.Get(StageCodegen, k); ok {
-			a, _ := v.(CodegenArtifact)
-			return a, err
-		}
-	}
+// description; gensim's build cache makes a repeat cheap.
+func (p *Pipeline) runCodegen(parent *obs.Span, d *isdl.Description) error {
 	r := p.Obs
+	if r == nil {
+		_, err := gensim.Build(d)
+		return err
+	}
 	var sp *obs.Span
-	var start time.Time
-	if r != nil {
-		if parent != nil {
-			sp = parent.Child(StageCodegen.String())
-		} else {
-			sp = r.StartSpan(StageCodegen.String())
-		}
-		start = time.Now()
+	if parent != nil {
+		sp = parent.Child(StageCodegen.String())
+	} else {
+		sp = r.StartSpan(StageCodegen.String())
 	}
+	start := time.Now()
 	br, err := gensim.Build(d)
-	var art CodegenArtifact
-	if err == nil {
-		art = CodegenArtifact{Fingerprint: br.Fingerprint, Bin: br.Bin, BuildNs: br.BuildNs}
-	}
-	if r != nil {
-		r.Histogram("stage." + StageCodegen.String() + ".ns").Observe(time.Since(start))
-		if err != nil {
-			sp.SetArg("err", err.Error())
-		} else {
-			sp.SetArg("fp", br.Fingerprint)
-			if br.CacheHit {
-				sp.SetArg("cache", "hit")
-			}
+	r.Histogram("stage." + StageCodegen.String() + ".ns").Observe(time.Since(start))
+	if err != nil {
+		sp.SetArg("err", err.Error())
+	} else {
+		sp.SetArg("fp", br.Fingerprint)
+		if br.CacheHit {
+			sp.SetArg("cache", "hit")
 		}
-		sp.End()
 	}
-	if c != nil && (err == nil || gensim.IsUnsupported(err)) {
-		c.Put(StageCodegen, k, art, err)
-	}
-	return art, err
+	sp.End()
+	return err
 }
 
 // runSimulation executes a program on a fresh engine of the requested
@@ -309,46 +256,25 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 	return SimArtifact{Cycles: eng.Cycle(), Stats: eng.Stats()}, nil
 }
 
-// stageRun memoizes one stage execution: on a cache miss it runs the
-// stage — instrumented with a latency histogram and a span when the
-// pipeline has a registry — and stores the artifact (or the
-// deterministic error) under the key. With a nil cache it just runs the
-// stage.
-func stageRun[T any](p *Pipeline, parent *obs.Span, s Stage, k CacheKey, run func() (T, error)) (T, error) {
-	c := p.Cache
-	if c != nil {
-		if v, err, ok := c.Get(s, k); ok {
-			t, _ := v.(T)
-			return t, err
-		}
-	}
+// stageRun runs one stage, instrumented with a latency histogram and a
+// span when the pipeline has a registry.
+func stageRun[T any](p *Pipeline, parent *obs.Span, s Stage, run func() (T, error)) (T, error) {
 	r := p.Obs
+	if r == nil {
+		return run()
+	}
 	var sp *obs.Span
-	var start time.Time
-	if r != nil {
-		if parent != nil {
-			sp = parent.Child(s.String())
-		} else {
-			sp = r.StartSpan(s.String())
-		}
-		start = time.Now()
+	if parent != nil {
+		sp = parent.Child(s.String())
+	} else {
+		sp = r.StartSpan(s.String())
 	}
+	start := time.Now()
 	t, err := run()
-	if r != nil {
-		r.Histogram("stage." + s.String() + ".ns").Observe(time.Since(start))
-		if err != nil {
-			sp.SetArg("err", err.Error())
-		}
-		sp.End()
-	}
-	if c == nil {
-		return t, err
-	}
+	r.Histogram("stage." + s.String() + ".ns").Observe(time.Since(start))
 	if err != nil {
-		var zero T
-		c.Put(s, k, zero, err)
-		return t, err
+		sp.SetArg("err", err.Error())
 	}
-	c.Put(s, k, t, nil)
+	sp.End()
 	return t, err
 }

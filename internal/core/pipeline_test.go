@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -22,50 +20,19 @@ func toyCanonical(t *testing.T) string {
 	return isdl.Format(machines.Toy())
 }
 
-// statsDelta subtracts two per-stage snapshots.
-func statsDelta(before, after [NumStages]StageStats) [NumStages]StageStats {
-	var d [NumStages]StageStats
-	for s := range after {
-		d[s] = StageStats{Hits: after[s].Hits - before[s].Hits, Misses: after[s].Misses - before[s].Misses}
-	}
-	return d
-}
-
-func wantStage(t *testing.T, d [NumStages]StageStats, s Stage, hits, misses uint64) {
-	t.Helper()
-	if d[s].Hits != hits || d[s].Misses != misses {
-		t.Errorf("stage %s: %d hits / %d misses, want %d/%d", s, d[s].Hits, d[s].Misses, hits, misses)
-	}
-}
-
-// TestPipelineStageKeyComposition checks that each stage key covers exactly
-// its inputs: a formatting-only ISDL change reuses every artifact, and a
-// kernel-only change reuses the Synthesize artifact while redoing the
-// workload-dependent stages.
-func TestPipelineStageKeyComposition(t *testing.T) {
+// TestPipelineMemoKey checks that the memo key covers exactly the
+// evaluation's inputs: a formatting-only ISDL change returns the memoized
+// evaluation, while a kernel change or a different evaluator setting
+// evaluates afresh.
+func TestPipelineMemoKey(t *testing.T) {
 	src := toyCanonical(t)
-	cache := NewStageCache()
+	cache := NewEvalCache()
 	pipe := &Pipeline{Cache: cache}
-
 	base, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := cache.PerStage()
-	for s := StageCompile; s < NumStages; s++ {
-		if s == StageCodegen {
-			// Codegen runs only when the aot simulator backend is
-			// requested (TestPipelineCodegenStage).
-			wantStage(t, cold, s, 0, 0)
-			continue
-		}
-		if cold[s].Misses != 1 || cold[s].Hits != 0 {
-			t.Errorf("cold run, stage %s: %+v, want exactly one miss", s, cold[s])
-		}
-	}
 
-	// Formatting-only change: same canonical text, so every stage key is
-	// unchanged and the final (combine) key already answers.
 	reformatted := strings.ReplaceAll(src, "\n", "\n\n")
 	if isdl.Format(mustParse(t, reformatted)) != src {
 		t.Fatal("reformatted source is not formatting-only")
@@ -77,77 +44,20 @@ func TestPipelineStageKeyComposition(t *testing.T) {
 	if again != base {
 		t.Error("formatting-only change did not return the memoized evaluation")
 	}
-	d := statsDelta(cold, cache.PerStage())
-	wantStage(t, d, StageCombine, 1, 0)
-	for s := StageCompile; s < StageCombine; s++ {
-		wantStage(t, d, s, 0, 0)
+	if h, m := cache.Stats(); h != 1 || m != 1 {
+		t.Errorf("after a formatting-only change: %d hits / %d misses, want 1/1", h, m)
 	}
 
-	// Kernel-only change: Synthesize depends only on the description, so
-	// its artifact is reused; the workload-dependent stages re-run.
-	snap := cache.PerStage()
-	kb, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel")
-	if err != nil {
+	if _, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel"); err != nil {
 		t.Fatal(err)
 	}
-	d = statsDelta(snap, cache.PerStage())
-	wantStage(t, d, StageSynthesize, 1, 0)
-	wantStage(t, d, StageCompile, 0, 1)
-	wantStage(t, d, StageAssemble, 0, 1)
-	wantStage(t, d, StageSimulate, 0, 1)
-	wantStage(t, d, StageCombine, 0, 1)
-	if kb.CycleNs != base.CycleNs || kb.AreaCells != base.AreaCells {
-		t.Error("kernel-only change altered the hardware figures")
-	}
-}
-
-// TestPipelineSynthKeyIgnoresEncoding: the Synthesize stage keys by the
-// structural fingerprint of what synthesis reads, so an encoding-only
-// mutation (reassigning opcodes) reuses the hardware artifact while the
-// workload-dependent stages (whose output bits change) re-run.
-func TestPipelineSynthKeyIgnoresEncoding(t *testing.T) {
-	d := machines.SPAM()
-	base := isdl.Format(d)
-
-	// Swap the ALU add/sub opcode constants — decode stays unambiguous,
-	// program images change, hardware structure does not.
-	var add, sub *isdl.Operation
-	for _, f := range d.Fields {
-		if f.ByName["add"] != nil && f.ByName["sub"] != nil {
-			add, sub = f.ByName["add"], f.ByName["sub"]
-			break
-		}
-	}
-	if add == nil || sub == nil || !add.Encode[0].ConstSet || !sub.Encode[0].ConstSet {
-		t.Fatal("SPAM ALU add/sub opcode layout changed; update this test")
-	}
-	add.Encode[0].Const, sub.Encode[0].Const = sub.Encode[0].Const, add.Encode[0].Const
-	mutated := isdl.Format(d)
-	if mutated == base {
-		t.Fatal("opcode swap did not change the canonical text")
-	}
-
-	cache := NewStageCache()
-	pipe := &Pipeline{Cache: cache}
-	e1, err := pipe.EvaluateKernel(base, pipeKernelA, "kernel")
-	if err != nil {
+	limited := NewEvaluator()
+	limited.MaxInstructions = 1000
+	if _, err := (&Pipeline{Evaluator: limited, Cache: cache}).EvaluateKernel(src, pipeKernelA, "kernel"); err != nil {
 		t.Fatal(err)
 	}
-	snap := cache.PerStage()
-	e2, err := pipe.EvaluateKernel(mutated, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := statsDelta(snap, cache.PerStage())
-	wantStage(t, delta, StageSynthesize, 1, 0)
-	wantStage(t, delta, StageCompile, 0, 1)
-	wantStage(t, delta, StageSimulate, 0, 1)
-	wantStage(t, delta, StageCombine, 0, 1)
-	if e2.CycleNs != e1.CycleNs || e2.AreaCells != e1.AreaCells {
-		t.Error("encoding-only change altered the hardware figures")
-	}
-	if e2.Cycles != e1.Cycles {
-		t.Errorf("opcode reassignment changed the cycle count: %d vs %d", e2.Cycles, e1.Cycles)
+	if h, m := cache.Stats(); h != 1 || m != 3 {
+		t.Errorf("after kernel and settings changes: %d hits / %d misses, want 1/3", h, m)
 	}
 }
 
@@ -158,7 +68,7 @@ func TestPipelineSynthKeyIgnoresEncoding(t *testing.T) {
 func TestPipelineInstrumentation(t *testing.T) {
 	src := toyCanonical(t)
 	reg := obs.NewRegistry()
-	cache := NewStageCache()
+	cache := NewEvalCache()
 	pipe := &Pipeline{Cache: cache, Obs: reg}
 	if _, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel"); err != nil {
 		t.Fatal(err)
@@ -200,17 +110,16 @@ func TestPipelineInstrumentation(t *testing.T) {
 			linked++
 		}
 	}
-	// Compile, assemble, simulate re-ran under the parent; synthesize hit.
-	if linked != 3 {
-		t.Errorf("got %d child spans, want 3", linked)
+	// A new kernel re-runs every stage under the parent.
+	if linked != 4 {
+		t.Errorf("got %d child spans, want 4", linked)
 	}
 
 	// Bind carries accumulated counts into the registry.
 	cache.Bind(reg)
 	counters = reg.Counters()
-	ps := cache.PerStage()
-	if counters["cache.synthesize.hits"] != ps[StageSynthesize].Hits || ps[StageSynthesize].Hits == 0 {
-		t.Errorf("bound hit counter = %d, want %d", counters["cache.synthesize.hits"], ps[StageSynthesize].Hits)
+	if counters["cache.combine.misses"] != 2 {
+		t.Errorf("bound miss counter = %d, want 2", counters["cache.combine.misses"])
 	}
 	// Post-bind traffic lands in the registry counters too.
 	if _, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel"); err != nil {
@@ -223,33 +132,38 @@ func TestPipelineInstrumentation(t *testing.T) {
 }
 
 // TestPipelineCodegenStage: with the aot simulator backend, codegen runs as
-// its own memoized stage — one miss on the first evaluation of a
-// description, a hit for every later kernel on the same description — and
-// the resulting figures are bit-identical to the default backend's.
+// its own instrumented stage — a span and a stage.codegen.ns observation
+// per evaluated candidate — and the resulting figures are bit-identical to
+// the default backend's.
 func TestPipelineCodegenStage(t *testing.T) {
 	if _, err := gensim.Build(machines.Toy()); err != nil {
 		t.Skipf("aot backend unavailable: %v", err)
 	}
 	src := toyCanonical(t)
-	cache := NewStageCache()
+	reg := obs.NewRegistry()
 	ev := NewEvaluator()
 	ev.SimBackend = xsim.BackendAOT
-	pipe := &Pipeline{Evaluator: ev, Cache: cache}
+	pipe := &Pipeline{Evaluator: ev, Cache: NewEvalCache(), Obs: reg}
 
 	aot, err := pipe.EvaluateKernel(src, pipeKernelA, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := cache.PerStage()
-	wantStage(t, cold, StageCodegen, 0, 1)
-
-	// A different kernel on the same description reuses the built simulator.
-	snap := cache.PerStage()
 	if _, err := pipe.EvaluateKernel(src, pipeKernelB, "kernel"); err != nil {
 		t.Fatal(err)
 	}
-	d := statsDelta(snap, cache.PerStage())
-	wantStage(t, d, StageCodegen, 1, 0)
+	if n := reg.Histograms()["stage.codegen.ns"].Count; n != 2 {
+		t.Errorf("stage.codegen.ns count = %d, want 2", n)
+	}
+	var codegenSpans int
+	for _, s := range reg.Spans() {
+		if s.Name == "codegen" {
+			codegenSpans++
+		}
+	}
+	if codegenSpans != 2 {
+		t.Errorf("got %d codegen spans, want 2", codegenSpans)
+	}
 
 	// The aot path produces the same evaluation as the default backend.
 	plain, err := (&Pipeline{}).EvaluateKernel(src, pipeKernelA, "kernel")
@@ -275,7 +189,7 @@ func mustParse(t *testing.T, src string) *isdl.Description {
 // the same figures as the cached path.
 func TestPipelineNilCache(t *testing.T) {
 	src := toyCanonical(t)
-	cached, err := (&Pipeline{Cache: NewStageCache()}).EvaluateKernel(src, pipeKernelA, "kernel")
+	cached, err := (&Pipeline{Cache: NewEvalCache()}).EvaluateKernel(src, pipeKernelA, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,79 +203,24 @@ func TestPipelineNilCache(t *testing.T) {
 }
 
 // TestPipelineMemoizesFailures: an uncompilable candidate is rejected once;
-// the second attempt answers from the final stage.
+// the second attempt answers from the memo without running a stage.
 func TestPipelineMemoizesFailures(t *testing.T) {
 	src := toyCanonical(t)
-	cache := NewStageCache()
-	pipe := &Pipeline{Cache: cache}
+	cache := NewEvalCache()
+	reg := obs.NewRegistry()
+	pipe := &Pipeline{Cache: cache, Obs: reg}
 	bad := "var x;\nx = undefinedCall();\n"
 	if _, err := pipe.EvaluateKernel(src, bad, "kernel"); err == nil {
 		t.Fatal("expected a compile failure")
 	}
-	snap := cache.PerStage()
-	_, err := pipe.EvaluateKernel(src, bad, "kernel")
-	if err == nil {
+	if _, err := pipe.EvaluateKernel(src, bad, "kernel"); err == nil {
 		t.Fatal("memoized failure lost")
 	}
-	d := statsDelta(snap, cache.PerStage())
-	wantStage(t, d, StageCombine, 1, 0)
-	wantStage(t, d, StageCompile, 0, 0)
-}
-
-// TestStageCachePersistenceRoundTrip: Save/Load carries the compile,
-// simulate and synthesize artifacts (and memoized failures) across caches,
-// so a fresh process re-evaluates a known candidate without compiling,
-// simulating or synthesizing — only assembly and the final combine re-run.
-func TestStageCachePersistenceRoundTrip(t *testing.T) {
-	src := toyCanonical(t)
-	first := NewStageCache()
-	base, err := (&Pipeline{Cache: first}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
+	if h, m := cache.Stats(); h != 1 || m != 1 {
+		t.Errorf("%d hits / %d misses, want 1/1", h, m)
 	}
-	bad := "var x;\nx = undefinedCall();\n"
-	if _, err := (&Pipeline{Cache: first}).EvaluateKernel(src, bad, "kernel"); err == nil {
-		t.Fatal("expected a compile failure")
-	}
-
-	var blob bytes.Buffer
-	if err := first.Save(&blob); err != nil {
-		t.Fatal(err)
-	}
-
-	second := NewStageCache()
-	if err := second.Load(bytes.NewReader(blob.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := (&Pipeline{Cache: second}).EvaluateKernel(src, pipeKernelA, "kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := second.PerStage()
-	wantStage(t, ps, StageCompile, 1, 0)
-	wantStage(t, ps, StageSimulate, 1, 0)
-	wantStage(t, ps, StageSynthesize, 1, 0)
-	wantStage(t, ps, StageAssemble, 0, 1)
-	wantStage(t, ps, StageCombine, 0, 1)
-
-	if reloaded.Cycles != base.Cycles || reloaded.RuntimeUs != base.RuntimeUs ||
-		reloaded.AreaCells != base.AreaCells || reloaded.PowerMW != base.PowerMW {
-		t.Errorf("reloaded evaluation differs: %+v vs %+v", reloaded, base)
-	}
-
-	// The memoized failure survives persistence too.
-	if _, err := (&Pipeline{Cache: second}).EvaluateKernel(src, bad, "kernel"); err == nil {
-		t.Error("persisted failure lost")
-	}
-
-	// Version skew is rejected instead of misread.
-	cur := fmt.Sprintf(`"version":%d`, persistVersion)
-	skew := strings.Replace(blob.String(), cur, `"version":99`, 1)
-	if skew == blob.String() {
-		t.Fatalf("persisted blob does not contain %s", cur)
-	}
-	if err := NewStageCache().Load(strings.NewReader(skew)); err == nil {
-		t.Error("incompatible cache version accepted")
+	if n := reg.Histograms()["stage.compile.ns"].Count; n != 1 {
+		t.Errorf("compile ran %d times, want 1", n)
 	}
 }
 

@@ -3,133 +3,116 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/blob"
+	"repro/internal/hgen"
 	"repro/internal/obs"
 )
 
-// TestStageCacheStoreWriteThrough: Puts of serializable stages land in
-// the store, and a fresh cache over the same store serves them as hits.
-func TestStageCacheStoreWriteThrough(t *testing.T) {
+// TestEvalCacheStoreWriteThrough: a Put lands in the store's one
+// namespace, and a fresh cache over the same store serves it as a hit.
+func TestEvalCacheStoreWriteThrough(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
+	a := NewEvalCache()
 	a.SetStore(st)
-
-	kc := StageKey(StageCompile, "machine", "kernel")
-	a.Put(StageCompile, kc, "add R1, R2, R3", nil)
-	ks := StageKey(StageSimulate, "machine", "image")
-	a.Put(StageSimulate, ks, SimArtifact{Cycles: 42}, nil)
-	ke := EvalKey("machine", "kernel")
-	a.Put(StageCombine, ke, &Evaluation{Machine: "m", Cycles: 42, RuntimeUs: 1.5}, nil)
-	if st.Len() != 3 {
-		t.Fatalf("store holds %d blobs, want 3", st.Len())
+	k := EvalKey("settings", "machine", "kernel")
+	a.Put(k, &Evaluation{Machine: "m", Cycles: 42, RuntimeUs: 1.5, Hardware: &hgen.Result{}}, nil)
+	if st.Len() != 1 {
+		t.Fatalf("store holds %d blobs, want 1", st.Len())
+	}
+	if ok, err := st.Has(storeNS, blob.Key(k)); !ok || err != nil {
+		t.Fatalf("blob not under namespace %s: (%v, %v)", storeNS, ok, err)
 	}
 
-	b := NewStageCache()
+	b := NewEvalCache()
 	b.SetStore(st)
-	if v, err, ok := b.Get(StageCompile, kc); !ok || err != nil || v.(string) != "add R1, R2, R3" {
-		t.Fatalf("compile via store = (%v, %v, %v)", v, err, ok)
-	}
-	if v, _, ok := b.Get(StageSimulate, ks); !ok || v.(SimArtifact).Cycles != 42 {
-		t.Fatalf("simulate via store = (%v, %v)", v, ok)
-	}
-	ev, err, ok := b.Get(StageCombine, ke)
+	ev, err, ok := b.Get(k)
 	if !ok || err != nil {
-		t.Fatalf("combine via store = (%v, %v, %v)", ev, err, ok)
+		t.Fatalf("Get via store = (%v, %v, %v)", ev, err, ok)
 	}
-	if e := ev.(*Evaluation); e.Cycles != 42 || e.RuntimeUs != 1.5 {
-		t.Fatalf("combine artifact mangled: %+v", e)
+	if ev.Cycles != 42 || ev.RuntimeUs != 1.5 {
+		t.Fatalf("evaluation mangled: %+v", ev)
 	}
-	ps := b.PerStage()
-	if ps[StageCompile].Hits != 1 || ps[StageCompile].Misses != 0 {
-		t.Errorf("store-served Get counted as %d hits / %d misses", ps[StageCompile].Hits, ps[StageCompile].Misses)
+	if ev.Hardware != nil {
+		t.Error("store-served evaluation carries a live hardware model")
 	}
-	if hits, misses, errs := b.StoreStats(); hits != 3 || misses != 0 || errs != 0 {
-		t.Errorf("StoreStats = %d/%d/%d, want 3/0/0", hits, misses, errs)
+	if hits, misses := b.Stats(); hits != 1 || misses != 0 {
+		t.Errorf("store-served Get counted as %d hits / %d misses", hits, misses)
 	}
-	// Second Get of the same key is a pure memory hit: no new store traffic.
-	b.Get(StageCompile, kc)
-	if hits, _, _ := b.StoreStats(); hits != 3 {
-		t.Errorf("memory-tier hit went to the store (store hits %d)", hits)
+	if hits, misses, errs := b.StoreStats(); hits != 1 || misses != 0 || errs != 0 {
+		t.Errorf("StoreStats = %d/%d/%d, want 1/0/0", hits, misses, errs)
+	}
+	// A second Get of the same key is a pure memory hit: no store traffic.
+	b.Get(k)
+	if hits, _, _ := b.StoreStats(); hits != 1 {
+		t.Errorf("memory hit went to the store (store hits %d)", hits)
+	}
+	// A key nobody wrote is a counted store miss.
+	if _, _, ok := b.Get(EvalKey("other")); ok {
+		t.Fatal("hit on a key nobody wrote")
+	}
+	if _, misses, _ := b.StoreStats(); misses != 1 {
+		t.Errorf("store misses = %d, want 1", misses)
 	}
 }
 
 // Memoized deterministic failures travel through the store too.
-func TestStageCacheStoreSharesFailures(t *testing.T) {
+func TestEvalCacheStoreSharesFailures(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
+	a := NewEvalCache()
 	a.SetStore(st)
-	k := StageKey(StageCompile, "machine", "bad kernel")
-	a.Put(StageCompile, k, nil, fmt.Errorf("compile: no add operation"))
+	k := EvalKey("settings", "machine", "bad kernel")
+	a.Put(k, nil, fmt.Errorf("compile: no add operation"))
 
-	b := NewStageCache()
+	b := NewEvalCache()
 	b.SetStore(st)
-	_, err, ok := b.Get(StageCompile, k)
-	if !ok || err == nil || err.Error() != "compile: no add operation" {
-		t.Fatalf("failure via store = (%v, %v)", err, ok)
+	ev, err, ok := b.Get(k)
+	if !ok || ev != nil || err == nil || err.Error() != "compile: no add operation" {
+		t.Fatalf("failure via store = (%v, %v, %v)", ev, err, ok)
 	}
 }
 
-// Unserializable stages stay memory-only: nothing in the store, and a
-// fresh cache misses.
-func TestStageCacheStoreSkipsMemoryOnlyStages(t *testing.T) {
+// A corrupt or empty blob degrades to a counted miss: the candidate is
+// recomputed, never failed on the store's account.
+func TestEvalCacheStoreCorruptBlobIsMiss(t *testing.T) {
 	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
-	k := StageKey(StageAssemble, "machine", "kernel")
-	a.Put(StageAssemble, k, struct{ live bool }{true}, nil)
-	if st.Len() != 0 {
-		t.Fatalf("assemble entry leaked into the store (%d blobs)", st.Len())
+	torn, empty := EvalKey("torn"), EvalKey("empty")
+	st.Put(storeNS, blob.Key(torn), []byte(`{"eval":{"Cycles":4`))
+	st.Put(storeNS, blob.Key(empty), []byte(`{}`))
+
+	c := NewEvalCache()
+	c.SetStore(st)
+	for _, k := range []CacheKey{torn, empty} {
+		if ev, err, ok := c.Get(k); ok || ev != nil || err != nil {
+			t.Errorf("corrupt blob served: (%v, %v, %v)", ev, err, ok)
+		}
 	}
-	b := NewStageCache()
-	b.SetStore(st)
-	if _, _, ok := b.Get(StageAssemble, k); ok {
-		t.Fatal("assemble entry served from store")
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("Stats = %d hits / %d misses, want 0/2", hits, misses)
+	}
+	if hits, misses, errs := c.StoreStats(); hits != 0 || misses != 0 || errs != 2 {
+		t.Errorf("StoreStats = %d/%d/%d, want 0/0/2", hits, misses, errs)
+	}
+	// Recomputing overwrites the bad blob.
+	c.Put(torn, &Evaluation{Cycles: 7}, nil)
+	fresh := NewEvalCache()
+	fresh.SetStore(st)
+	if ev, _, ok := fresh.Get(torn); !ok || ev.Cycles != 7 {
+		t.Errorf("rewritten blob = (%v, %v)", ev, ok)
 	}
 }
 
-// A Codegen artifact names a binary in a local build cache; an entry
-// whose binary does not exist on this machine must degrade to a miss,
-// while one whose binary exists is served.
-func TestStageCacheStoreValidatesCodegenBinary(t *testing.T) {
-	st := blob.NewMem()
-	a := NewStageCache()
-	a.SetStore(st)
-
-	gone := StageKey(StageCodegen, "desc-elsewhere")
-	a.Put(StageCodegen, gone, CodegenArtifact{Fingerprint: "f1", Bin: "/nonexistent/path/sim"}, nil)
-
-	bin := filepath.Join(t.TempDir(), "sim")
-	if err := os.WriteFile(bin, []byte("#!/bin/true\n"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	here := StageKey(StageCodegen, "desc-here")
-	a.Put(StageCodegen, here, CodegenArtifact{Fingerprint: "f2", Bin: bin}, nil)
-
-	b := NewStageCache()
-	b.SetStore(st)
-	if _, _, ok := b.Get(StageCodegen, gone); ok {
-		t.Fatal("served a codegen artifact with a dangling binary path")
-	}
-	v, _, ok := b.Get(StageCodegen, here)
-	if !ok || v.(CodegenArtifact).Bin != bin {
-		t.Fatalf("codegen with live binary = (%v, %v)", v, ok)
-	}
-}
-
-// TestStageCacheConcurrentStore exercises mixed Put/Get from many
+// TestEvalCacheConcurrentStore exercises mixed Put/Get from many
 // goroutines over a shared dir store; the race detector gives the
-// verdict. (Satellite: concurrent StageCache traffic under -race.)
-func TestStageCacheConcurrentStore(t *testing.T) {
+// verdict.
+func TestEvalCacheConcurrentStore(t *testing.T) {
 	st, err := blob.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewStageCache()
+	c := NewEvalCache()
 	c.SetStore(st)
 	c.Bind(obs.NewRegistry())
 	var wg sync.WaitGroup
@@ -138,57 +121,48 @@ func TestStageCacheConcurrentStore(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				k := StageKey(StageCompile, "m", fmt.Sprint(i))
-				want := fmt.Sprintf("asm %d", i)
-				c.Put(StageCompile, k, want, nil)
-				if v, _, ok := c.Get(StageCompile, k); !ok || v.(string) != want {
-					t.Errorf("goroutine %d: Get(%d) = (%v, %v)", g, i, v, ok)
+				k := EvalKey("m", fmt.Sprint(i))
+				c.Put(k, &Evaluation{Cycles: uint64(i)}, nil)
+				if ev, _, ok := c.Get(k); !ok || ev.Cycles != uint64(i) {
+					t.Errorf("goroutine %d: Get(%d) = (%v, %v)", g, i, ev, ok)
 					return
 				}
-				ke := EvalKey("m", fmt.Sprint(i))
-				c.Put(StageCombine, ke, &Evaluation{Cycles: uint64(i)}, nil)
-				c.Get(StageCombine, ke)
 			}
 		}(g)
 	}
 	wg.Wait()
 }
 
-// TestPipelineFullyServedFromStore is the tentpole property in one
-// process pair: pipeline A evaluates against an empty shared store;
-// pipeline B, with a cold memory cache over the same store, re-evaluates
-// and recomputes nothing — every stage after Parse is zero-miss, the
-// Combine hit short-circuits the walk, and the figures are identical.
-// (The cross-process version lives in internal/explore.)
+// TestPipelineFullyServedFromStore is the store's property in one process
+// pair: pipeline A evaluates against an empty shared store; pipeline B,
+// with a cold memory cache over the same store, re-evaluates and runs no
+// stage after Parse, and the figures are identical. (The cross-process
+// version lives in internal/explore.)
 func TestPipelineFullyServedFromStore(t *testing.T) {
 	src := toyCanonical(t)
 	st := blob.NewMem()
 
-	ca := NewStageCache()
+	ca := NewEvalCache()
 	ca.SetStore(st)
 	a, err := (&Pipeline{Cache: ca}).EvaluateKernel(src, pipeKernelA, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cb := NewStageCache()
+	cb := NewEvalCache()
 	cb.SetStore(st)
-	b, err := (&Pipeline{Cache: cb}).EvaluateKernel(src, pipeKernelA, "kernel")
+	reg := obs.NewRegistry()
+	b, err := (&Pipeline{Cache: cb, Obs: reg}).EvaluateKernel(src, pipeKernelA, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ps := cb.PerStage()
-	for s := Stage(0); s < NumStages; s++ {
-		if s == StageParse {
-			continue // parse is never cached; its runs are counted as misses
-		}
-		if ps[s].Misses != 0 {
-			t.Errorf("stage %s recomputed (%d misses) despite shared store", s, ps[s].Misses)
-		}
+	if hits, misses := cb.Stats(); hits != 1 || misses != 0 {
+		t.Errorf("B: %d hits / %d misses, want 1/0", hits, misses)
 	}
-	if ps[StageCombine].Hits != 1 {
-		t.Errorf("combine hits = %d, want 1 (store-served short circuit)", ps[StageCombine].Hits)
+	for name, h := range reg.Histograms() {
+		if name != "stage.parse.ns" && h.Count != 0 {
+			t.Errorf("B ran %s %d times despite the shared store", name, h.Count)
+		}
 	}
 
 	// Figures identical; only the live hardware model (deliberately not
@@ -200,6 +174,36 @@ func TestPipelineFullyServedFromStore(t *testing.T) {
 	}
 	if b.Hardware != nil {
 		t.Error("store-served evaluation resurrected a live hardware model")
+	}
+}
+
+// TestEvalCacheKeysEvaluatorSettings: two caches over one store, under
+// evaluators that differ in a setting the figures depend on, must not
+// serve each other's evaluations.
+func TestEvalCacheKeysEvaluatorSettings(t *testing.T) {
+	src := toyCanonical(t)
+	st := blob.NewMem()
+
+	ca := NewEvalCache()
+	ca.SetStore(st)
+	shared, err := (&Pipeline{Cache: ca}).EvaluateKernel(src, pipeKernelA, "kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	unshared := NewEvaluator()
+	unshared.Synthesis.Sharing = hgen.ShareOff
+	cb := NewEvalCache()
+	cb.SetStore(st)
+	got, err := (&Pipeline{Evaluator: unshared, Cache: cb}).EvaluateKernel(src, pipeKernelA, "kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AreaCells == shared.AreaCells {
+		t.Errorf("ShareOff evaluation reports the sharing evaluation's area %.0f cells", got.AreaCells)
+	}
+	if hits, _ := cb.Stats(); hits != 0 {
+		t.Errorf("ShareOff cache served %d hits from the other configuration", hits)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Beam keeps the top-Width candidates alive per iteration instead of a
 // single current point: each iteration evaluates the union of every
 // frontier member's neighbours (deduplicated by canonical-ISDL
-// fingerprint, so the stage cache and the frontier never re-score a
+// fingerprint, so the evaluation cache and the frontier never re-score a
 // repeat), then keeps the Width best of frontier ∪ scored. The search
 // stops when no fresh candidate enters the frontier — a strictly wider
 // walk than hill climbing, which multi-candidate DSE systems use to

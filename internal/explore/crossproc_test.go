@@ -1,11 +1,10 @@
 package explore_test
 
-// The tentpole acceptance test: two *processes* sharing a directory
-// BlobStore never evaluate the same architecture twice. Process A (a
-// re-exec of this test binary) explores SPAM and populates the store;
-// process B re-runs the identical exploration and recomputes nothing —
-// every stage except Parse (never cached by design) reports zero misses,
-// the Combine tier serves every candidate, and the Result is
+// Two *processes* sharing a directory blob store never evaluate the same
+// architecture twice. Process A (a re-exec of this test binary) explores
+// SPAM2 and populates the store; process B re-runs the identical
+// exploration and recomputes nothing — the evaluation cache reports zero
+// misses, no pipeline stage after Parse runs, and the Result is
 // byte-identical.
 
 import (
@@ -20,15 +19,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/machines"
+	"repro/internal/obs"
 )
 
 // crossProcOut is what the helper process reports back, bracketed by
 // crossProcMarker on its own stdout line.
 type crossProcOut struct {
-	Report      string               `json:"report"`
-	FinalSource string               `json:"final_source"`
-	Stages      map[string][2]uint64 `json:"stages"` // name -> [hits, misses]
-	StoreHits   uint64               `json:"store_hits"`
+	Report      string            `json:"report"`
+	FinalSource string            `json:"final_source"`
+	Hits        uint64            `json:"hits"`
+	Misses      uint64            `json:"misses"`
+	StoreHits   uint64            `json:"store_hits"`
+	StageRuns   map[string]uint64 `json:"stage_runs"` // stage -> stage.<name>.ns count
 }
 
 const crossProcMarker = "CROSSPROC_JSON:"
@@ -66,16 +68,19 @@ func TestCrossProcessStoreSharing(t *testing.T) {
 	if a.Report != b.Report || a.FinalSource != b.FinalSource {
 		t.Errorf("results diverge across processes:\nA report:\n%s\nB report:\n%s", a.Report, b.Report)
 	}
-	for name, hm := range b.Stages {
-		if name == "parse" {
-			continue // parse is never cached; every run is counted a miss
-		}
-		if hm[1] != 0 {
-			t.Errorf("process B recomputed stage %s (%d misses) despite the shared store", name, hm[1])
-		}
+	if b.Misses != 0 {
+		t.Errorf("process B missed %d evaluations despite the shared store", b.Misses)
 	}
-	if b.Stages["combine"][0] == 0 {
-		t.Error("process B's combine stage served no hits; store sharing did not happen")
+	if b.Hits == 0 {
+		t.Error("process B's evaluation cache served no hits; store sharing did not happen")
+	}
+	for _, s := range []string{"compile", "assemble", "simulate", "synthesize"} {
+		if a.StageRuns[s] == 0 {
+			t.Errorf("process A never ran stage %s", s)
+		}
+		if n := b.StageRuns[s]; n != 0 {
+			t.Errorf("process B ran stage %s %d times despite the shared store", s, n)
+		}
 	}
 	if b.StoreHits == 0 {
 		t.Error("process B reports zero store-tier hits")
@@ -94,11 +99,13 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := core.NewEvalCache()
-	cache.Stages().SetStore(st)
+	cache.SetStore(st)
+	reg := obs.NewRegistry()
 	res, err := explore.New(machines.SPAM2Source, kernel,
 		explore.WithCache(cache),
 		explore.WithMaxIters(2),
 		explore.WithWorkers(4),
+		explore.WithObs(reg),
 	).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +113,14 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 	out := crossProcOut{
 		Report:      res.Report(),
 		FinalSource: res.FinalSource,
-		Stages:      map[string][2]uint64{},
+		StageRuns:   map[string]uint64{},
 	}
-	for s, hm := range cache.Stages().PerStage() {
-		out.Stages[core.Stage(s).String()] = [2]uint64{hm.Hits, hm.Misses}
+	out.Hits, out.Misses = cache.Stats()
+	out.StoreHits, _, _ = cache.StoreStats()
+	hs := reg.Histograms()
+	for _, s := range []string{"compile", "assemble", "simulate", "synthesize"} {
+		out.StageRuns[s] = hs["stage."+s+".ns"].Count
 	}
-	out.StoreHits, _, _ = cache.Stages().StoreStats()
 	payload, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)

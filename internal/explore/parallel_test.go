@@ -15,16 +15,16 @@ import (
 func runConfig(t *testing.T, workers int, noCache bool) (*explore.Result, []string) {
 	t.Helper()
 	var lines []string
-	ex := &explore.Explorer{
-		Base:     machines.SPAMSource,
-		Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 3,
-		Workers:  workers,
-		NoCache:  noCache,
-		Log:      func(ev explore.Event) { lines = append(lines, ev.Line) },
+	opts := []explore.Option{
+		explore.WithWeights(explore.DefaultWeights()),
+		explore.WithMaxIters(3),
+		explore.WithWorkers(workers),
+		explore.WithLog(func(ev explore.Event) { lines = append(lines, ev.Line) }),
 	}
-	res, err := ex.Run()
+	if noCache {
+		opts = append(opts, explore.WithoutCache())
+	}
+	res, err := explore.New(machines.SPAMSource, "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n", opts...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +94,13 @@ func TestExploreSharedCacheAcrossRuns(t *testing.T) {
 	}
 	cache := core.NewEvalCache()
 	run := func(w explore.Weights) {
-		ex := &explore.Explorer{
-			Base:     machines.SPAMSource,
-			Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-			Weights:  w,
-			MaxIters: 2,
-			Workers:  2,
-			Cache:    cache,
-		}
-		if _, err := ex.Run(); err != nil {
+		_, err := explore.New(machines.SPAMSource, "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
+			explore.WithWeights(w),
+			explore.WithMaxIters(2),
+			explore.WithWorkers(2),
+			explore.WithCache(cache),
+		).Run()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,16 +128,13 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var events []explore.Event
-	ex := &explore.Explorer{
-		Base:     machines.SPAMSource,
-		Kernel:   "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
-		Weights:  explore.DefaultWeights(),
-		MaxIters: 3,
-		Workers:  8,
-		Obs:      reg,
-		Log:      func(ev explore.Event) { events = append(events, ev) },
-	}
-	res, err := ex.Run()
+	res, err := explore.New(machines.SPAMSource, "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
+		explore.WithWeights(explore.DefaultWeights()),
+		explore.WithMaxIters(3),
+		explore.WithWorkers(8),
+		explore.WithObs(reg),
+		explore.WithLog(func(ev explore.Event) { events = append(events, ev) }),
+	).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +169,8 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 		t.Errorf("explore.moves.infeasible = %d, want %d", c["explore.moves.infeasible"], byKind["infeasible"])
 	}
 
-	// The pipeline, stage cache and simulator report through the same
-	// registry.
+	// The pipeline, evaluation cache and simulator report through the
+	// same registry.
 	if reg.Histograms()["stage.simulate.ns"].Count == 0 {
 		t.Error("no simulate-stage latency observations")
 	}
@@ -183,7 +178,7 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 		t.Error("no simulator perf counters published")
 	}
 	if c["cache.combine.misses"] == 0 {
-		t.Error("stage-cache counters not bound into the registry")
+		t.Error("evaluation-cache counters not bound into the registry")
 	}
 
 	// Spans: one per iteration (the cache event count is the iteration
@@ -219,12 +214,10 @@ func TestExploreCacheHitsAcrossIterations(t *testing.T) {
 		t.Fatal("no cache statistics in the exploration log")
 	}
 	last := cacheLines[len(cacheLines)-1]
-	for _, stage := range []string{"parse", "compile", "assemble", "simulate", "synthesize", "combine"} {
-		if !strings.Contains(last, stage) {
-			t.Errorf("per-stage cache line misses stage %q: %q", stage, last)
-		}
+	if !strings.Contains(last, " misses") {
+		t.Errorf("cache line misses the memo counters: %q", last)
 	}
-	if strings.Contains(last, "combine 0/") {
-		t.Errorf("expected cross-iteration whole-pipeline hits, got %q", last)
+	if strings.Contains(last, "cache 0 hits") {
+		t.Errorf("expected cross-iteration whole-evaluation hits, got %q", last)
 	}
 }

@@ -61,8 +61,8 @@ func (r Restarts) run(e *engine) (*Result, error) {
 	// combined curve (empty unless the inner strategy is Pareto).
 	var frontiers []FrontierPoint
 	// Restarts run sequentially: each inner run owns the whole worker
-	// pool, and the shared stage cache carries evaluations from one
-	// restart to the next (perturbed bases share most of their stages).
+	// pool, and the shared evaluation cache carries evaluations from one
+	// restart to the next.
 	for i := 0; i <= r.N; i++ {
 		src, actions := base, []string(nil)
 		if i > 0 {

@@ -72,7 +72,7 @@ type Option func(*Config)
 
 // New builds an exploration Config over a base description and kernel.
 // Without options it hill-climbs with DefaultWeights, NumCPU workers and
-// a private stage cache:
+// a private evaluation cache:
 //
 //	res, err := explore.New(base, kernel, explore.WithBeam(4), explore.WithRestarts(3, 1)).Run()
 func New(base, kernel string, opts ...Option) *Config {
@@ -99,7 +99,7 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 func WithoutCache() Option { return func(c *Config) { c.NoCache = true } }
 
 // WithCache shares an evaluation cache across runs (see Config.Cache and
-// docs/EXPLORE.md for the validity rules).
+// docs/EXPLORE.md).
 func WithCache(cache *core.EvalCache) Option { return func(c *Config) { c.Cache = cache } }
 
 // WithLog sets the structured event sink.
@@ -154,13 +154,13 @@ func (c *Config) Run() (*Result, error) {
 }
 
 // engine owns the per-run machinery every strategy shares: the staged
-// pipeline with its cache, the bounded worker pool with move-order
+// pipeline with its evaluation memo, the bounded worker pool with move-order
 // reduction, scoring, structured events and observability. Strategies
 // differ only in which candidates they ask it to evaluate next.
 type engine struct {
 	cfg      *Config
 	pipe     *core.Pipeline
-	stages   *core.StageCache
+	cache    *core.EvalCache // nil with NoCache
 	workers  int
 	maxIters int
 	// base is the effective starting description: Config.Base, except
@@ -189,25 +189,23 @@ func newEngine(c *Config) *engine {
 	if cache == nil && !c.NoCache {
 		cache = core.NewEvalCache()
 	}
-	var stages *core.StageCache
 	if cache != nil {
-		stages = cache.Stages()
-		stages.Bind(c.Obs) // no-op when Obs is nil or already bound
+		cache.Bind(c.Obs) // no-op when Obs is nil or already bound
 	}
 	cfg := *c
 	cfg.Evaluator = ev
-	pipe := &core.Pipeline{Evaluator: ev, Cache: stages, Obs: c.Obs}
+	pipe := &core.Pipeline{Evaluator: ev, Cache: cache, Obs: c.Obs}
 	c.Obs.SetLaneName(0, "explore")
 	for w := 0; w < workers; w++ {
 		c.Obs.SetLaneName(1+w, fmt.Sprintf("worker %d", w))
 	}
 	// Compiled-op reuse happens below the pipeline, in the process-wide
-	// xsim cache; report per-run deltas alongside the stage counters.
+	// xsim cache; report per-run deltas alongside the memo counters.
 	opHits0, opMisses0 := xsim.SharedOpCache().Stats()
 	return &engine{
 		cfg:       &cfg,
 		pipe:      pipe,
-		stages:    stages,
+		cache:     cache,
 		workers:   workers,
 		maxIters:  maxIters,
 		base:      c.Base,
@@ -254,7 +252,7 @@ func (e *engine) scoreChecked(ev *core.Evaluation) (float64, error) {
 
 // evaluate runs the staged pipeline (core.Pipeline) for one candidate:
 // parse → compile kernel → assemble → simulate → synthesize → combine,
-// with every post-parse stage memoized per content-addressed key when the
+// with the whole evaluation memoized per content-addressed key when the
 // pipeline has a cache (see docs/PIPELINE.md). Stage spans of executed
 // stages become children of sp in the trace.
 func (e *engine) evaluate(src string, sp *obs.Span) (*core.Evaluation, error) {
@@ -290,13 +288,14 @@ func (e *engine) setBestScore(s float64) {
 
 // emitCacheStats publishes the per-iteration cache line.
 func (e *engine) emitCacheStats(iter int) {
-	if e.stages == nil {
+	if e.cache == nil {
 		return
 	}
+	hits, misses := e.cache.Stats()
 	opHits, opMisses := xsim.SharedOpCache().Stats()
 	e.emit(Event{Kind: "cache", Iter: iter,
-		Line: fmt.Sprintf("iter %d: cache %s; op-closures %d reused / %d compiled",
-			iter, e.stages.StatsLine(), opHits-e.opHits0, opMisses-e.opMisses0)})
+		Line: fmt.Sprintf("iter %d: cache %d hits / %d misses; op-closures %d reused / %d compiled",
+			iter, hits, misses, opHits-e.opHits0, opMisses-e.opMisses0)})
 }
 
 // outcome is one candidate's pipeline result.

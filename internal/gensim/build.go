@@ -52,8 +52,8 @@ func CacheDir() string {
 // published under a namespace keyed by generator version and platform,
 // so one process's native build serves every other process of the same
 // platform sharing the store: the local fingerprint-keyed cache dir
-// stays the first tier, the store becomes the second — exactly the
-// StageCache arrangement (internal/core/blobstore.go).
+// stays the first tier, the store becomes the second — the same
+// arrangement as internal/core's evaluation cache.
 var (
 	storeMu sync.Mutex
 	store   blob.Store

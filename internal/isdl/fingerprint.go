@@ -3,7 +3,6 @@ package isdl
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -11,9 +10,8 @@ import (
 // Content fingerprints. The exploration loop mutates one operation at a
 // time, so neighbouring candidate descriptions share almost every
 // definition; per-definition fingerprints let the toolchain caches
-// (compiled-op closures in xsim, stage artifacts in core) key by exactly
-// the content a generated artifact depends on, instead of the whole
-// description. A fingerprint is a SHA-256 over canonical text (the same
+// (compiled-op closures in xsim) key by exactly the content a generated
+// artifact depends on, instead of the whole description. A fingerprint is a SHA-256 over canonical text (the same
 // rendering Format uses), so formatting differences never split equal
 // content and any textual change to a definition changes its fingerprint.
 
@@ -113,108 +111,6 @@ func LayoutFingerprint(d *Description) Fingerprint {
 	var f Fingerprint
 	h.Sum(f[:0])
 	return f
-}
-
-// SynthFingerprint hashes exactly the parts of a description the hardware
-// model (internal/hgen, without Verilog emission) reads: the state layout,
-// every operation's and option's RTL, costs, timing and parameter types,
-// the *shape* of every signature (bit kinds — which positions are constant,
-// parameter or don't-care), token definitions (they set parameter widths),
-// and the constraint section (it enables cross-field sharing). The constant
-// bit values of an encoding are deliberately excluded: decode-logic cost
-// depends only on how many literal bits a signature has, not on their
-// values, so two descriptions that differ only in opcode assignments
-// synthesize to the same cost model and may share a Synthesize-stage
-// artifact. (Verilog emission does embed the opcode values; callers that
-// emit Verilog must key by the full canonical text instead.)
-func SynthFingerprint(d *Description) Fingerprint {
-	h := sha256.New()
-	var sb strings.Builder
-	writeLenPrefixed(h, "synth")
-	sb.WriteString(d.Name)
-	writeInt(&sb, d.WordWidth)
-	writeLenPrefixed(h, sb.String())
-
-	// Tokens: canonical text (token kinds and widths size the decoded
-	// parameter values RTL expressions compute with).
-	for _, name := range sortedKeys(d.Tokens) {
-		sb.Reset()
-		formatToken(&sb, d.Tokens[name])
-		writeLenPrefixed(h, sb.String())
-	}
-
-	// Non-terminals: every option's signature shape, value expression,
-	// side effects, costs, timing and parameter types. hgen consults all
-	// non-terminals (decode terms), not just reachable ones.
-	for _, name := range sortedKeysNT(d.NonTerminals) {
-		nt := d.NonTerminals[name]
-		sb.Reset()
-		sb.WriteString(nt.Name)
-		writeInt(&sb, nt.RetWidth)
-		for _, opt := range nt.Options {
-			sb.WriteString("\noption")
-			writeParamsAndShape(&sb, opt.Params, &opt.Sig)
-			fmt.Fprintf(&sb, " Value { %s }", opt.Value)
-			formatStmts(&sb, "SideEffect", opt.SideEffect)
-			formatCosts(&sb, opt.Costs, opt.Timing, true)
-		}
-		writeLenPrefixed(h, sb.String())
-	}
-
-	// State layout: storage and aliases.
-	lf := LayoutFingerprint(d)
-	writeLenPrefixed(h, string(lf[:]))
-
-	// Instruction set: per field, per operation — name, parameter types,
-	// signature shape, RTL, costs, timing. Declaration order is kept (node
-	// extraction and clique cover follow it).
-	for _, f := range d.Fields {
-		sb.Reset()
-		sb.WriteString("field ")
-		sb.WriteString(f.Name)
-		writeLenPrefixed(h, sb.String())
-		for _, op := range f.Ops {
-			sb.Reset()
-			sb.WriteString(op.Name)
-			writeParamsAndShape(&sb, op.Params, &op.Sig)
-			sb.WriteByte('\n')
-			formatStmts(&sb, "Action", op.Action)
-			formatStmts(&sb, "SideEffect", op.SideEffect)
-			formatCosts(&sb, op.Costs, op.Timing, false)
-			writeLenPrefixed(h, sb.String())
-		}
-	}
-
-	// Constraints prove cross-field exclusivity (sharing rule 4).
-	for _, c := range d.Constraints {
-		writeLenPrefixed(h, "constraint "+c.Text)
-	}
-
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
-}
-
-// writeParamsAndShape renders a parameter list (names and types) and the
-// value-independent shape of a signature: one character per bit — 'x'
-// don't-care, 'c' constant (any value), then the parameter index for
-// parameter bits.
-func writeParamsAndShape(sb *strings.Builder, params []*Param, sig *Signature) {
-	for _, p := range params {
-		fmt.Fprintf(sb, " (%s: %s)", p.Name, p.TypeName)
-	}
-	sb.WriteString(" sig ")
-	for _, b := range sig.Bits {
-		switch b.Kind {
-		case SigConst:
-			sb.WriteByte('c')
-		case SigParam:
-			sb.WriteByte('p')
-			writeInt(sb, b.Param)
-		default:
-			sb.WriteByte('x')
-		}
-	}
 }
 
 func writeInt(sb *strings.Builder, v int) {

@@ -1,9 +1,6 @@
 package isdl
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 const fpBase = `
 Machine fptest;
@@ -99,63 +96,6 @@ func TestOpFingerprintCoversReachableNonTerminals(t *testing.T) {
 	}
 	if OpFingerprint(d2.Fields[0].ByName["halt"]) != OpFingerprint(d1.Fields[0].ByName["halt"]) {
 		t.Error("non-terminal edit changed an op that does not use it")
-	}
-}
-
-func TestSynthFingerprintIgnoresEncodingValues(t *testing.T) {
-	d1 := fpParse(t, fpBase)
-	// Swap the opcode constants of add and halt: an encoding-only change.
-	// Decode stays unambiguous (both opcodes remain distinct constants), the
-	// canonical text and the per-op fingerprints change, but nothing the
-	// hardware model reads moves — signature shapes, RTL, costs and layout
-	// are untouched — so the synthesis fingerprint must not move.
-	swapped := strings.NewReplacer("0b0001", "0b1111", "0b1111", "0b0001").Replace(fpBase)
-	d2 := fpParse(t, swapped)
-	if Format(d1) == Format(d2) {
-		t.Fatal("opcode swap did not change the canonical text")
-	}
-	if OpFingerprint(d1.Fields[0].ByName["add"]) == OpFingerprint(d2.Fields[0].ByName["add"]) {
-		t.Error("opcode swap did not change the op fingerprint")
-	}
-	if SynthFingerprint(d1) != SynthFingerprint(d2) {
-		t.Error("encoding-only change moved the synthesis fingerprint")
-	}
-}
-
-func TestSynthFingerprintSeesHardwareInputs(t *testing.T) {
-	base := SynthFingerprint(fpParse(t, fpBase))
-
-	cost := fpParse(t, fpBase)
-	cost.Fields[0].ByName["add"].Costs.Stall = 2
-	if SynthFingerprint(fpParse(t, Format(cost))) == base {
-		t.Error("cost change did not move the synthesis fingerprint")
-	}
-
-	rtl := fpParse(t, strings.Replace(fpBase, "GPR[d] + s", "GPR[d] - s", 1))
-	if SynthFingerprint(rtl) == base {
-		t.Error("RTL change did not move the synthesis fingerprint")
-	}
-
-	layout := fpParse(t, fpBase)
-	layout.StorageByName["DM"].Depth = 32
-	if SynthFingerprint(layout) == base {
-		t.Error("layout change did not move the synthesis fingerprint")
-	}
-
-	// A signature *shape* change (an opcode gaining literal bits) must
-	// move it: decode cost counts literal bits.
-	shape := fpParse(t, strings.Replace(fpBase, "Encode { I[3:0] = 0b1111; }",
-		"Encode { I[3:0] = 0b1111; I[7:4] = 0b0000; }", 1))
-	if SynthFingerprint(shape) == base {
-		t.Error("signature shape change did not move the synthesis fingerprint")
-	}
-}
-
-func TestSynthFingerprintStableAcrossParses(t *testing.T) {
-	d1 := fpParse(t, fpBase)
-	d2 := fpParse(t, Format(d1))
-	if SynthFingerprint(d1) != SynthFingerprint(d2) {
-		t.Error("synthesis fingerprint differs across parse/format round trip")
 	}
 }
 

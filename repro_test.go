@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/explore"
 )
 
 // TestFacadeEndToEnd walks the whole public API: parse a bundled machine,
@@ -84,12 +85,8 @@ func TestFacadeExplorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration is slow")
 	}
-	ex := &repro.Explorer{
-		Base:     repro.Machines()["spam2"],
-		Kernel:   "var x; x = 41; x = x + 1;",
-		MaxIters: 1,
-	}
-	res, err := ex.Run()
+	res, err := repro.NewExploration(repro.Machines()["spam2"], "var x; x = 41; x = x + 1;",
+		explore.WithMaxIters(1)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
