@@ -15,7 +15,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/cosim"
-	"repro/internal/experiments"
 	"repro/internal/explore"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
@@ -31,7 +30,15 @@ import (
 
 func firSetup(b *testing.B) (*isdl.Description, *asm.Program) {
 	b.Helper()
-	d, p, err := experiments.FIRWorkload(16, 48)
+	w, err := suite.Get("fir16.spam")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := machines.ByName(w.Machine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, _, err := suite.Prepare(w, d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func BenchmarkTable1_VerilogModel(b *testing.B) {
 		pool := &cosim.Pool{Workers: workers}
 		w := cosim.Workload{
 			Mod:  mod,
-			Init: func(hw *verilog.Sim) error { return experiments.LoadProgram(hw, p) },
+			Init: func(hw *verilog.Sim) error { return hgen.LoadProgram(hw, p) },
 		}
 		b.ResetTimer()
 		stats, err := pool.Run("bench.table1.verilog", b.N, func(i int, l *cosim.Lane) error {
@@ -316,8 +323,8 @@ for i = 0 to 15 { s = s + a[i]; }
 
 // BenchmarkSuite measures every registered suite workload on every zoo
 // machine the toolchain can target (compiled backend), reporting MIPS per
-// pair. The sub-benchmark rows land in the -bench-json trajectory
-// (BENCH_10.json), making the suite the standing perf yardstick.
+// pair. Repeat with -count for a spread; the end-to-end benchmark with
+// repeated samples and quartiles is perfbench (perfbench/run.sh).
 func BenchmarkSuite(b *testing.B) {
 	for _, w := range suite.All(suite.Filter{}) {
 		for _, m := range machines.ZooNames() {

@@ -13,10 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
 	"strings"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/atomicfile"
+	"repro/internal/isdl"
+	"repro/internal/machines"
 )
 
 func main() {
@@ -29,7 +31,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: asm -m <machine> [-d] [-l] [-o out] <file>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Source(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := isdl.Parse(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -39,15 +45,15 @@ func main() {
 	}
 
 	if *disasm {
-		p, err := repro.UnmarshalProgram(d, blob)
+		p, err := asm.Unmarshal(d, blob)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(repro.Disassemble(p))
+		fmt.Print(asm.DisassembleProgram(p))
 		return
 	}
 
-	p, err := repro.Assemble(d, string(blob))
+	p, err := asm.Assemble(d, string(blob))
 	if err != nil {
 		fatal(err)
 	}
@@ -59,21 +65,10 @@ func main() {
 	if name == "" {
 		name = strings.TrimSuffix(flag.Arg(0), ".s") + ".xbin"
 	}
-	if err := atomicfile.WriteFile(name, repro.MarshalProgram(p), 0o644); err != nil {
+	if err := atomicfile.WriteFile(name, asm.Marshal(p), 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%s: %d words, %d symbols\n", name, len(p.Words), len(p.Symbols))
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -62,12 +62,12 @@ import (
 	"os"
 	"strings"
 
-	"repro"
 	"repro/internal/atomicfile"
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/gensim"
+	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/xsim"
 )
@@ -125,7 +125,7 @@ func main() {
 	if err != nil {
 		fatal(err) // bad extension: fail before the run, not after
 	}
-	baseSrc, err := loadSource(*machine)
+	baseSrc, err := machines.Source(*machine)
 	if err != nil {
 		fatal(err)
 	}
@@ -265,17 +265,6 @@ func writeObsOutputs(reg *obs.Registry, metricsOut, traceOut string, quiet bool)
 		}
 		fmt.Printf("wrote trace %s (open in chrome://tracing or ui.perfetto.dev)\n", traceOut)
 	}
-}
-
-func loadSource(arg string) (string, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return src, nil
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return "", err
-	}
-	return string(blob), nil
 }
 
 func fatal(err error) {

@@ -15,10 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
 
-	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/hgen"
+	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/tech"
 )
 
@@ -33,7 +34,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hgen -m <machine> [-o out.v] [-sharing off|rules|full] [-decode twolevel|comparator]")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Source(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := isdl.Parse(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,12 +74,12 @@ func main() {
 	}
 	opts.EmitVerilog = true
 
-	r, err := repro.Synthesize(d, nil, opts)
+	r, err := hgen.Synthesize(d, tech.LSI10K(), opts)
 	if err != nil {
 		// Machines with Stack storage or multi-word instructions still get
 		// the cost model.
 		opts.EmitVerilog = false
-		r, err = repro.Synthesize(d, nil, opts)
+		r, err = hgen.Synthesize(d, tech.LSI10K(), opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -90,17 +95,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d lines)\n", *out, r.VerilogLines)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -14,23 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
 	"repro/internal/isdl"
+	"repro/internal/machines"
 )
-
-// loadMachine resolves a builtin name or reads a file.
-func loadMachine(arg string) (*isdl.Description, string, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		d, err := repro.ParseISDL(src)
-		return d, src, err
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, "", err
-	}
-	d, err := repro.ParseISDL(string(blob))
-	return d, string(blob), err
-}
 
 func main() {
 	format := flag.Bool("format", false, "print the canonical ISDL source")
@@ -39,13 +25,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: isdlc [-format] <machine.isdl | toy | spam | spam2>")
 		os.Exit(2)
 	}
-	d, _, err := loadMachine(flag.Arg(0))
+	var d *isdl.Description
+	src, err := machines.Source(flag.Arg(0))
+	if err == nil {
+		d, err = isdl.Parse(src)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "isdlc:", err)
 		os.Exit(1)
 	}
 	if *format {
-		fmt.Print(repro.FormatISDL(d))
+		fmt.Print(isdl.Format(d))
 		return
 	}
 

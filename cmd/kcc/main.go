@@ -13,10 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/atomicfile"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/atomicfile"
 	"repro/internal/compiler"
+	"repro/internal/isdl"
+	"repro/internal/machines"
+	"repro/internal/xsim"
 )
 
 func main() {
@@ -29,7 +32,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: kcc -m <machine> [-o out.s] [-run] <kernel.k>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Source(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := isdl.Parse(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -49,11 +56,11 @@ func main() {
 		fmt.Print(asmText)
 	}
 	if *run {
-		p, err := repro.Assemble(d, asmText)
+		p, err := asm.Assemble(d, asmText)
 		if err != nil {
 			fatal(err)
 		}
-		sim := repro.NewSimulator(d)
+		sim := xsim.New(d)
 		if err := sim.Load(p); err != nil {
 			fatal(err)
 		}
@@ -62,17 +69,6 @@ func main() {
 		}
 		fmt.Print(sim.Stats().Summary(d))
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

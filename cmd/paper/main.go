@@ -7,9 +7,9 @@
 //	paper -ablation all      just the ablations
 //	paper -budget 500ms      quicker (noisier) Table 1
 //	paper -cosim-workers 8   Verilog co-simulation fan-out (0 = NumCPU)
-//	paper -bench-json f.json parse `go test -bench` output on stdin into
-//	                         a benchmark JSON document (skips everything
-//	                         else)
+//
+// An unknown -table or -ablation value prints the usage and exits with
+// status 2.
 //
 // The suite registry (ROADMAP item 4) adds the workload-gauntlet modes,
 // which skip the tables above:
@@ -39,6 +39,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/atomicfile"
@@ -53,7 +55,6 @@ func main() {
 	ablation := flag.String("ablation", "all", "which ablation: sharing | decode | stalls | all | none")
 	budget := flag.Duration("budget", 2*time.Second, "measurement budget per simulator for Table 1")
 	cosimWorkers := flag.Int("cosim-workers", 0, "parallel Verilog co-simulation workers for Table 1 (0 = NumCPU)")
-	benchJSON := flag.String("bench-json", "", "parse `go test -bench` output on stdin and write it as JSON here")
 
 	suiteRun := flag.Bool("suite", false, "run the benchmark suite (registry workloads × machine zoo) and skip the tables")
 	suiteFilter := flag.String("suite-filter", "", "restrict the suite to workloads with this tag (or this exact name)")
@@ -67,14 +68,8 @@ func main() {
 	gauntletJSON := flag.String("gauntlet-json", "", "also write the gauntlet report as JSON here")
 	gauntletNoCosim := flag.Bool("gauntlet-no-cosim", false, "skip the synthesized-Verilog gauntlet leg")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, os.Stdin); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		return
-	}
+	checkChoice("table", *table, "1", "2", "all", "none")
+	checkChoice("ablation", *ablation, "sharing", "decode", "stalls", "all", "none")
 
 	if *suiteRun {
 		if err := runSuite(*suiteFilter, *suiteBackend, *suiteJSON); err != nil {
@@ -90,7 +85,7 @@ func main() {
 	}
 
 	if *table == "1" || *table == "all" {
-		t1, err := experiments.RunTable1Opts(experiments.Table1Options{Budget: *budget, Workers: *cosimWorkers})
+		t1, err := experiments.RunTable1(experiments.Table1Options{Budget: *budget, Workers: *cosimWorkers})
 		if err != nil {
 			fatal(err)
 		}
@@ -183,6 +178,18 @@ func runGauntlet(n int, seed, seedReplay int64, jsonPath string, noCosim bool) e
 		return fmt.Errorf("gauntlet: %d divergence(s), %d error(s)", rep.Divergences, rep.Errors)
 	}
 	return nil
+}
+
+// checkChoice rejects a flag value outside its documented set the way the
+// flag package rejects a malformed one: the usage on stderr, exit status 2.
+func checkChoice(name, val string, choices ...string) {
+	if slices.Contains(choices, val) {
+		return
+	}
+	fmt.Fprintf(flag.CommandLine.Output(), "invalid value %q for flag -%s: want %s\n",
+		val, name, strings.Join(choices, " | "))
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/traceprof"
 )
 
@@ -31,7 +33,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: traceprof -m <machine> -p <prog.xbin> [-annotate] [-top n] <trace>")
 		os.Exit(2)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Source(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := isdl.Parse(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -39,7 +45,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p, err := repro.UnmarshalProgram(d, blob)
+	p, err := asm.Unmarshal(d, blob)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,17 +67,6 @@ func main() {
 	if err := prof.Report(os.Stdout, d, p, *top); err != nil {
 		fatal(err)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

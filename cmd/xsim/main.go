@@ -21,9 +21,11 @@ import (
 	"io"
 	"os"
 
-	"repro"
+	"repro/internal/asm"
 	"repro/internal/atomicfile"
 	_ "repro/internal/gensim" // registers the aot backend
+	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/xsim"
 )
@@ -44,7 +46,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	d, err := loadDescription(*machine)
+	src, err := machines.Source(*machine)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := isdl.Parse(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,7 +75,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := repro.Assemble(d, string(blob))
+		p, err := asm.Assemble(d, string(blob))
 		if err != nil {
 			fatal(err)
 		}
@@ -125,8 +131,8 @@ func writeMetrics(reg *obs.Registry, name string) {
 // runEngine is the backend-generic batch path: load a program into an
 // engine of the requested backend, run to halt, print the same stats and
 // perf summaries as the session's run/stats/perf commands.
-func runEngine(d *repro.Description, b xsim.Backend, source string, args []string, metricsOut string) {
-	var p *repro.Program
+func runEngine(d *isdl.Description, b xsim.Backend, source string, args []string, metricsOut string) {
+	var p *asm.Program
 	var err error
 	switch {
 	case source != "":
@@ -134,13 +140,13 @@ func runEngine(d *repro.Description, b xsim.Backend, source string, args []strin
 		if rerr != nil {
 			fatal(rerr)
 		}
-		p, err = repro.Assemble(d, string(blob))
+		p, err = asm.Assemble(d, string(blob))
 	case len(args) == 1:
 		blob, rerr := os.ReadFile(args[0])
 		if rerr != nil {
 			fatal(rerr)
 		}
-		p, err = repro.UnmarshalProgram(d, blob)
+		p, err = asm.Unmarshal(d, blob)
 	default:
 		fatal(fmt.Errorf("-run with -backend %s needs -s prog.s or a prog.xbin argument", b))
 	}
@@ -172,17 +178,6 @@ func runEngine(d *repro.Description, b xsim.Backend, source string, args []strin
 		eng.Perf().Publish(reg)
 		writeMetrics(reg, metricsOut)
 	}
-}
-
-func loadDescription(arg string) (*repro.Description, error) {
-	if src, ok := repro.Machines()[arg]; ok {
-		return repro.ParseISDL(src)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.ParseISDL(string(blob))
 }
 
 func fatal(err error) {

@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/explore"
+	"repro/internal/machines"
 )
 
 const kernel = `
@@ -32,7 +32,7 @@ for i = 0 to 31 {
 `
 
 func main() {
-	res, err := repro.NewExploration(repro.Machines()["spam2"], kernel,
+	res, err := explore.New(machines.SPAM2Source, kernel,
 		explore.WithMaxIters(6),
 		explore.WithLog(func(ev explore.Event) { fmt.Println(ev.Line) }),
 	).Run()

@@ -12,25 +12,24 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/machines"
+	"repro/internal/xsim"
 )
 
 func main() {
 	const taps, nout = 16, 64
 	samples, coefs := machines.FIRTestVectors(taps, nout)
 
-	d, err := repro.ParseISDL(machines.SPAMSource)
-	if err != nil {
-		log.Fatal(err)
-	}
+	d := machines.SPAM()
 	src := machines.FIRSPAM(taps, nout, samples, coefs)
-	p, err := repro.Assemble(d, src)
+	p, err := asm.Assemble(d, src)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sim := repro.NewSimulator(d)
+	sim := xsim.New(d)
 	if err := sim.Load(p); err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func main() {
 	fmt.Print(sim.Stats().Summary(d))
 
 	// The full methodology: combine the simulation with the hardware model.
-	eval, err := repro.Evaluate(d, p, "fir16x64")
+	eval, err := core.NewEvaluator().Evaluate(d, p, "fir16x64")
 	if err != nil {
 		log.Fatal(err)
 	}

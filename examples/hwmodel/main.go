@@ -12,9 +12,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/hgen"
 	"repro/internal/machines"
+	"repro/internal/tech"
 	"repro/internal/verilog"
+	"repro/internal/xsim"
 )
 
 const program = `
@@ -30,12 +33,8 @@ done:
 `
 
 func main() {
-	d, err := repro.ParseISDL(machines.SPAM2Source)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	hw, err := repro.Synthesize(d, nil, repro.DefaultSynthesisOptions())
+	d := machines.SPAM2()
+	hw, err := hgen.Synthesize(d, tech.LSI10K(), hgen.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,18 +50,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	p, err := repro.Assemble(d, program)
+	p, err := asm.Assemble(d, program)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ils := repro.NewSimulator(d)
+	ils := xsim.New(d)
 	if err := ils.Load(p); err != nil {
 		log.Fatal(err)
 	}
-	for i, w := range p.Words {
-		if err := vsim.SetMem("s_IMEM", i, w); err != nil {
-			log.Fatal(err)
-		}
+	if err := hgen.LoadProgram(vsim, p); err != nil {
+		log.Fatal(err)
 	}
 
 	steps := 0

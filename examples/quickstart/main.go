@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/isdl"
+	"repro/internal/xsim"
 )
 
 // A minimal accumulator machine: 8-bit datapath, one field, five operations.
@@ -69,21 +71,21 @@ loop:
 `
 
 func main() {
-	d, err := repro.ParseISDL(machine)
+	d, err := isdl.Parse(machine)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("machine %s: %d-bit instructions, %d operations\n",
 		d.Name, d.WordWidth, len(d.Fields[0].Ops))
 
-	p, err := repro.Assemble(d, program)
+	p, err := asm.Assemble(d, program)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("assembled %d words; disassembly round trip:\n%s\n",
-		len(p.Words), repro.Disassemble(p))
+		len(p.Words), asm.DisassembleProgram(p))
 
-	sim := repro.NewSimulator(d)
+	sim := xsim.New(d)
 	if err := sim.Load(p); err != nil {
 		log.Fatal(err)
 	}

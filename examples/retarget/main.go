@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/compiler"
+	"repro/internal/machines"
+	"repro/internal/xsim"
 )
 
 // One kernel, three machines. The kernel sums an array and counts how many
@@ -29,20 +32,20 @@ for i = 0 to 15 {
 func main() {
 	arrayMem := map[string]string{"toy": "DMEM", "spam": "DMX", "spam2": "DM", "risc32": "DMEM"}
 	for _, name := range []string{"toy", "spam2", "spam", "risc32"} {
-		d, err := repro.ParseISDL(repro.Machines()[name])
+		d, err := machines.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		kernel := fmt.Sprintf(kernelTemplate, arrayMem[name])
-		asmText, err := repro.Compile(d, kernel)
+		asmText, err := compiler.Compile(d, kernel)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		p, err := repro.Assemble(d, asmText)
+		p, err := asm.Assemble(d, asmText)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		sim := repro.NewSimulator(d)
+		sim := xsim.New(d)
 		if err := sim.Load(p); err != nil {
 			log.Fatal(err)
 		}

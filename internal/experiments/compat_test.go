@@ -15,34 +15,9 @@ import (
 	"repro/internal/xsim"
 )
 
-// These tests prove the deprecated experiments entry points — now thin
-// wrappers over the suite registry and the machine zoo — produce output
-// identical to direct construction from the machines generators, which is
-// what they compiled down to before the registry existed.
-
-// TestFIRWorkloadCompat: FIRWorkload's registry-resolved 16×48 shape must
-// assemble to the exact program that direct generator construction yields.
-func TestFIRWorkloadCompat(t *testing.T) {
-	d, p, err := experiments.FIRWorkload(16, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "spam" {
-		t.Fatalf("machine %q, want spam", d.Name)
-	}
-	samples, coefs := machines.FIRTestVectors(16, 48)
-	direct, err := asm.Assemble(machines.SPAM(), machines.FIRSPAM(16, 48, samples, coefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Words, direct.Words) || !reflect.DeepEqual(p.Data, direct.Data) {
-		t.Fatal("registry-resolved FIR program differs from direct construction")
-	}
-	// A non-canonical shape takes the direct path; it must still assemble.
-	if _, p2, err := experiments.FIRWorkload(8, 8); err != nil || len(p2.Words) == 0 {
-		t.Fatalf("FIRWorkload(8,8): %v", err)
-	}
-}
+// These tests prove the experiments entry points, which resolve machines
+// and workloads through the machine zoo and the suite registry, produce
+// output identical to direct construction from the machines generators.
 
 // TestAsmWorkloadsCompat: every pinned asm workload in the registry must
 // assemble to the same program as its machines generator.

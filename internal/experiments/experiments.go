@@ -17,44 +17,11 @@ import (
 	"repro/internal/hgen"
 	"repro/internal/isdl"
 	"repro/internal/machines"
-	"repro/internal/obs"
 	"repro/internal/suite"
 	"repro/internal/tech"
 	"repro/internal/verilog"
 	"repro/internal/xsim"
 )
-
-// FIRWorkload builds the SPAM FIR benchmark program used for the Table 1
-// speed measurements (the realistic simulation run §6.2 argues the fast ILS
-// enables).
-//
-// Deprecated: the canonical 16-tap/48-output shape lives in the suite
-// registry as "fir16.spam" — prefer suite.Get + suite.Prepare (or RunSuite).
-// This wrapper resolves through the registry for that shape and is proven
-// identical to direct construction by the compat tests.
-func FIRWorkload(taps, nout int) (*isdl.Description, *asm.Program, error) {
-	d, err := machines.ByName("spam")
-	if err != nil {
-		return nil, nil, err
-	}
-	if taps == 16 && nout == 48 {
-		w, err := suite.Get("fir16.spam")
-		if err != nil {
-			return nil, nil, err
-		}
-		p, _, _, err := suite.Prepare(w, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d, p, nil
-	}
-	samples, coefs := machines.FIRTestVectors(taps, nout)
-	p, err := asm.Assemble(d, machines.FIRSPAM(taps, nout, samples, coefs))
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, p, nil
-}
 
 // Table1Row is one row of Table 1.
 type Table1Row struct {
@@ -121,7 +88,7 @@ func (t *Table1) InterpSpeedup() float64 {
 	return ratio(t.ILSInterp.CyclesPerSec, t.Verilog.CyclesPerSec)
 }
 
-// Table1Options configures RunTable1Opts.
+// Table1Options configures RunTable1.
 type Table1Options struct {
 	// Budget bounds each simulator's measurement.
 	Budget time.Duration
@@ -131,20 +98,20 @@ type Table1Options struct {
 	// workloads run regardless of Budget (default 1), so short budgets
 	// still measure complete runs.
 	MinVerilogRuns int
-	// Obs, when non-nil, receives the co-simulation pool's metrics and
-	// spans (cosim.* counters and per-worker lanes).
-	Obs *obs.Registry
 }
 
-// RunTable1 performs the Table 1 measurement with default options
-// (co-simulation workers = NumCPU).
-func RunTable1(minDuration time.Duration) (*Table1, error) {
-	return RunTable1Opts(Table1Options{Budget: minDuration})
-}
-
-// RunTable1Opts performs the Table 1 measurement.
-func RunTable1Opts(o Table1Options) (*Table1, error) {
-	d, p, err := FIRWorkload(16, 48)
+// RunTable1 performs the Table 1 measurement on the suite's canonical SPAM
+// FIR workload ("fir16.spam": 16 taps, 48 outputs).
+func RunTable1(o Table1Options) (*Table1, error) {
+	w, err := suite.Get("fir16.spam")
+	if err != nil {
+		return nil, err
+	}
+	d, err := machines.ByName(w.Machine)
+	if err != nil {
+		return nil, err
+	}
+	p, _, _, err := suite.Prepare(w, d)
 	if err != nil {
 		return nil, err
 	}
@@ -214,26 +181,6 @@ func RunTable1Opts(o Table1Options) (*Table1, error) {
 	}, nil
 }
 
-// LoadProgram loads an assembled program image — instruction words plus
-// initialized data — into a generated hardware model's memories (the
-// "s_"-prefixed storage nets HGEN emits). Shared by the Table 1
-// measurement and the co-simulation benchmarks.
-func LoadProgram(hw *verilog.Sim, p *asm.Program) error {
-	for i, w := range p.Words {
-		if err := hw.SetMem("s_IMEM", p.Base+i, w); err != nil {
-			return err
-		}
-	}
-	for _, di := range p.Data {
-		for i, v := range di.Values {
-			if err := hw.SetMem("s_"+di.Storage, di.Base+i, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // measureVerilog runs whole FIR workloads on the event-driven model across
 // the co-simulation pool until the budget is spent (and at least
 // MinVerilogRuns workloads either way). Only the Tick loops are timed as
@@ -248,7 +195,7 @@ func measureVerilog(mod *verilog.Module, p *asm.Program, o Table1Options, now fu
 	if minRuns <= 0 {
 		minRuns = 1
 	}
-	pool := &cosim.Pool{Workers: o.Workers, Obs: o.Obs, Now: now}
+	pool := &cosim.Pool{Workers: o.Workers, Now: now}
 	start := now()
 	// Budget guard for very slow hosts: give up mid-workload past 4× the
 	// budget. Disabled for untimed (budget 0) runs, which are bounded by
@@ -258,7 +205,7 @@ func measureVerilog(mod *verilog.Module, p *asm.Program, o Table1Options, now fu
 	if o.Budget > 0 {
 		stop = func() bool { return now().Sub(start) > 4*o.Budget }
 	}
-	wl := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return LoadProgram(hw, p) }, Stop: stop}
+	wl := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return hgen.LoadProgram(hw, p) }, Stop: stop}
 
 	var total cosim.Stats
 	for {
@@ -311,10 +258,6 @@ type Table2Row struct {
 }
 
 // RunTable2 synthesizes both processors with the paper's configuration.
-//
-// Deprecated: retained for the paper's Table 2 reproduction; the machine
-// list now resolves through the zoo registry (machines.ByName), proven
-// identical to direct construction by the compat tests.
 func RunTable2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, d := range zooPair() {
@@ -356,8 +299,7 @@ type SharingRow struct {
 	Nodes     int
 }
 
-// zooPair resolves the paper's two DSPs through the machine zoo (the
-// registry the deprecated Table/ablation wrappers are re-expressed over).
+// zooPair resolves the paper's two DSPs through the machine zoo.
 func zooPair() []*isdl.Description {
 	var ds []*isdl.Description
 	for _, name := range []string{"spam", "spam2"} {
@@ -372,9 +314,6 @@ func zooPair() []*isdl.Description {
 
 // RunAblationSharing measures die size under the three sharing modes
 // (§4.1.1–4.1.2).
-//
-// Deprecated: retained for the DESIGN.md ablation; machines resolve
-// through the zoo registry.
 func RunAblationSharing() ([]SharingRow, error) {
 	var rows []SharingRow
 	for _, d := range zooPair() {
@@ -414,9 +353,6 @@ type DecodeRow struct {
 }
 
 // RunAblationDecode measures the decode-logic styles of §4.2.
-//
-// Deprecated: retained for the DESIGN.md ablation; machines resolve
-// through the zoo registry.
 func RunAblationDecode() ([]DecodeRow, error) {
 	var rows []DecodeRow
 	for _, d := range zooPair() {
@@ -458,10 +394,7 @@ type StallRow struct {
 // issue on the SPAM dot-product (whose loads and multiplies have non-unit
 // latency). The interlock model both counts stalls and keeps results
 // correct; disabling it shows what interlock-free hardware would compute.
-//
-// Deprecated: the workload resolves through the suite registry
-// ("dot32.spam"); prefer RunSuite for plain workload evaluation. Retained
-// because the stall-model toggle is not part of the suite API.
+// The workload is the suite's "dot32.spam".
 func RunAblationStalls() ([]StallRow, error) {
 	w, err := suite.Get("dot32.spam")
 	if err != nil {

@@ -15,7 +15,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement test")
 	}
-	t1, err := experiments.RunTable1(150 * time.Millisecond)
+	t1, err := experiments.RunTable1(experiments.Table1Options{Budget: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 // item 4): RunSuite runs every registered workload passing a filter on
 // every machine in the zoo, reference-checks each run, and returns a typed
 // report that cmd/paper renders (-suite) or serializes (-suite-json). The
-// historical entry points (RunTable1/RunTable2/RunAblation*) remain as
-// deprecated wrappers re-expressed over the same registry — compat tests
-// prove them identical.
+// table and ablation runners resolve their machines and workloads through
+// the same zoo and registry; the compat tests prove that identical to
+// direct construction.
 
 // SuiteOptions configures a suite run.
 type SuiteOptions struct {

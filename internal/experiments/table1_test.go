@@ -15,6 +15,7 @@ import (
 	"repro/internal/cosim"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/tech"
 	"repro/internal/verilog"
 )
@@ -23,7 +24,9 @@ import (
 // event-driven runs below stay fast, even under -race.
 func smallFIR(t *testing.T) (*isdl.Description, *asm.Program, *verilog.Module) {
 	t.Helper()
-	d, p, err := FIRWorkload(4, 8)
+	d := machines.SPAM()
+	samples, coefs := machines.FIRTestVectors(4, 8)
+	p, err := asm.Assemble(d, machines.FIRSPAM(4, 8, samples, coefs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestVerilogParallelBitIdentity(t *testing.T) {
 		pool := &cosim.Pool{Workers: workers}
 		finals := make([]map[string]string, runs)
 		stats, err := pool.Run("identity", runs, func(i int, l *cosim.Lane) error {
-			hw, err := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return LoadProgram(hw, p) }}.Run(l)
+			hw, err := cosim.Workload{Mod: mod, Init: func(hw *verilog.Sim) error { return hgen.LoadProgram(hw, p) }}.Run(l)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package hgen
 import (
 	"fmt"
 
+	"repro/internal/asm"
 	"repro/internal/bitvec"
 	"repro/internal/isdl"
 	"repro/internal/verilog"
@@ -31,6 +32,27 @@ import (
 // ordering as the simulator. On overflow the hardware wraps where the
 // simulator reports a fault — programs that respect the declared depth
 // behave identically.
+
+// LoadProgram writes an assembled program image into a simulation of the
+// generated model: the instruction words into the instruction memory at the
+// program's base address, and each data initializer into its storage. Every
+// storage is the "s_"-prefixed net the generator emits for it.
+func LoadProgram(hw *verilog.Sim, p *asm.Program) error {
+	imem := "s_" + p.Desc.InstructionMemory().Name
+	for i, w := range p.Words {
+		if err := hw.SetMem(imem, p.Base+i, w); err != nil {
+			return err
+		}
+	}
+	for _, di := range p.Data {
+		for i, v := range di.Values {
+			if err := hw.SetMem("s_"+di.Storage, di.Base+i, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 type vgen struct {
 	d    *isdl.Description

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cosim"
 	"repro/internal/hgen"
 	"repro/internal/isdl"
+	"repro/internal/machines"
 	"repro/internal/verilog"
 	"repro/internal/xsim"
 )
@@ -228,5 +229,95 @@ func TestGauntletBuiltinsAgainstGo(t *testing.T) {
 	}
 	if got := get(7); got != 1 {
 		t.Errorf("half: %d", got)
+	}
+}
+
+// TestLoadProgramRenamedInstructionMemory: ISDL lets the instruction memory
+// have any name, and HGEN names its net after it. LoadProgram must follow
+// the description, place the words at the program's base address and load
+// the data initializers; the loaded model must then run to halt in lockstep
+// with XSIM and end with the same storage contents.
+func TestLoadProgramRenamedInstructionMemory(t *testing.T) {
+	d, err := isdl.Parse(strings.Replace(machines.ToySource,
+		"InstructionMemory IMEM", "InstructionMemory PMEM", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := synth(t, d, hgen.DefaultOptions())
+	m, err := verilog.Parse(r.VerilogText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const program = `
+    .data DMEM 4 7, 9, 11
+    mv R1, #4
+    mv R2, #0
+    mv R3, #7
+loop:
+    ld R4, @R1
+    add R2, R2, R4
+    add R1, R1, #1
+    beq R1, R3, done
+    jmp loop
+done:
+    st @R3, R2
+    halt
+`
+	p, err := asm.Assemble(d, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ils := xsim.New(d)
+	if err := ils.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	hw, err := verilog.NewSim(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hgen.LoadProgram(hw, p); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; !ils.Halted(); step++ {
+		if step > 100 {
+			t.Fatal("no halt within 100 instructions")
+		}
+		if err := ils.Step(); err != nil {
+			t.Fatal(err)
+		}
+		ils.FlushPending()
+		if err := hw.Tick("clk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hv, err := hw.Get("halted"); err != nil || hv.Uint64() != 1 {
+		t.Fatalf("hardware model did not halt (%v)", err)
+	}
+	if err := stateDiff(d, ils, hw); err != nil {
+		t.Fatal(err)
+	}
+	if got := ils.State().Get("DMEM", 7).Uint64(); got != 27 {
+		t.Fatalf("DMEM[7] = %d, want 27", got)
+	}
+
+	// A program assembled at a non-zero origin lands at that origin.
+	p, err = asm.Assemble(d, ".org 16\n"+program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hw, err = verilog.NewSim(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := hgen.LoadProgram(hw, p); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range p.Words {
+		got, err := hw.GetMem("s_PMEM", 16+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Eq(w) {
+			t.Fatalf("PMEM[%d] = %s, want %s", 16+i, got, w)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package machines_test
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -171,6 +176,42 @@ func TestZoo(t *testing.T) {
 	}
 	if _, err := machines.ByName("nonesuch"); err == nil {
 		t.Fatal("ByName should reject unknown machines")
+	}
+}
+
+// TestSource: a command's machine argument is a zoo name or an ISDL file
+// path; a mistyped name must say which machines exist, not only that no
+// file by that name exists.
+func TestSource(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mine.isdl")
+	if err := os.WriteFile(path, []byte(machines.ToySource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, arg, want, errHas string
+	}{
+		{name: "zoo", arg: "spam", want: machines.SPAMSource},
+		{name: "file", arg: path, want: machines.ToySource},
+		{name: "missing", arg: "spamm", errHas: `unknown machine "spamm" (have [risc32 riscv5 spam spam2 toy])`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := machines.Source(tc.arg)
+			if tc.errHas != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+					t.Fatalf("Source(%q) error = %v, want it to contain %q", tc.arg, err, tc.errHas)
+				}
+				if !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("Source(%q) error %v should wrap the file error", tc.arg, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src != tc.want {
+				t.Fatalf("Source(%q) returned the wrong description", tc.arg)
+			}
+		})
 	}
 }
 

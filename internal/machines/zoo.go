@@ -2,13 +2,14 @@ package machines
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"repro/internal/isdl"
 )
 
 // The machine zoo: every bundled ISDL description under a stable name, in a
-// deterministic order. The suite registry, the repro facade and the CLIs all
+// deterministic order. The suite registry, the examples and the CLIs all
 // enumerate machines through this table, so adding a description here is the
 // single step that makes it visible everywhere.
 
@@ -51,7 +52,27 @@ func ByName(name string) (*isdl.Description, error) {
 			return e.Parse(), nil
 		}
 	}
+	return nil, unknown(name)
+}
+
+// Source resolves a command's machine argument: a zoo name yields the
+// bundled ISDL text, anything else is read as an ISDL file path. An
+// argument that is neither reports the zoo names alongside the file error.
+func Source(arg string) (string, error) {
+	for _, e := range Zoo() {
+		if e.Name == arg {
+			return e.Source, nil
+		}
+	}
+	blob, err := os.ReadFile(arg)
+	if err != nil {
+		return "", fmt.Errorf("%w, and no ISDL file: %w", unknown(arg), err)
+	}
+	return string(blob), nil
+}
+
+func unknown(name string) error {
 	known := ZooNames()
 	sort.Strings(known)
-	return nil, fmt.Errorf("machines: unknown machine %q (have %v)", name, known)
+	return fmt.Errorf("machines: unknown machine %q (have %v)", name, known)
 }

@@ -4,51 +4,62 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/asm"
+	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/hgen"
+	"repro/internal/isdl"
+	"repro/internal/machines"
+	"repro/internal/tech"
+	"repro/internal/xsim"
 )
 
-// TestFacadeEndToEnd walks the whole public API: parse a bundled machine,
-// compile a kernel, assemble, marshal/unmarshal, disassemble, simulate,
-// synthesize and evaluate.
+// TestFacadeEndToEnd walks every tool the paper derives from one ISDL
+// description, through the packages the commands and examples use: parse a
+// bundled machine, compile a kernel, assemble, marshal/unmarshal,
+// disassemble, simulate, synthesize and evaluate.
 func TestFacadeEndToEnd(t *testing.T) {
-	srcs := repro.Machines()
 	for _, name := range []string{"toy", "spam", "spam2", "risc32"} {
-		if _, ok := srcs[name]; !ok {
-			t.Fatalf("machine %s missing", name)
+		if _, err := machines.Source(name); err != nil {
+			t.Fatalf("machine %s missing: %v", name, err)
 		}
 	}
 
-	d, err := repro.ParseISDL(srcs["spam2"])
+	src, err := machines.Source("spam2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := repro.FormatISDL(d); !strings.Contains(text, "Machine spam2;") {
-		t.Fatal("FormatISDL lost the header")
+	d, err := isdl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := isdl.Format(d); !strings.Contains(text, "Machine spam2;") {
+		t.Fatal("isdl.Format lost the header")
 	}
 
-	asmText, err := repro.Compile(d, "var x, y; x = 6; y = x + x + 2;")
+	asmText, err := compiler.Compile(d, "var x, y; x = 6; y = x + x + 2;")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := repro.Assemble(d, asmText)
+	p, err := asm.Assemble(d, asmText)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Object-format round trip.
-	p2, err := repro.UnmarshalProgram(d, repro.MarshalProgram(p))
+	p2, err := asm.Unmarshal(d, asm.Marshal(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p2.Words) != len(p.Words) {
 		t.Fatal("XBIN round trip changed the program")
 	}
-	if repro.Disassemble(p) == "" {
+	if asm.DisassembleProgram(p) == "" {
 		t.Fatal("empty disassembly")
 	}
 
-	sim := repro.NewSimulator(d)
+	sim := xsim.New(d)
 	if err := sim.Load(p2); err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +71,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("y = %d, want 14", got)
 	}
 
-	hw, err := repro.Synthesize(d, nil, repro.DefaultSynthesisOptions())
+	lib := tech.LSI10K()
+	if lib.Name != "lsi10k" {
+		t.Fatal("default library")
+	}
+	hw, err := hgen.Synthesize(d, lib, hgen.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hw.VerilogLines == 0 || hw.CycleNs <= 0 {
 		t.Fatalf("synthesis result: %+v", hw)
 	}
-	if repro.LSI10K().Name != "lsi10k" {
-		t.Fatal("default library")
-	}
 
-	eval, err := repro.Evaluate(d, p, "facade")
+	eval, err := core.NewEvaluator().Evaluate(d, p, "end-to-end")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +92,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeExplorer runs a one-iteration exploration through the facade.
+// TestFacadeExplorer runs a one-iteration exploration from a bundled
+// machine's source.
 func TestFacadeExplorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration is slow")
 	}
-	res, err := repro.NewExploration(repro.Machines()["spam2"], "var x; x = 41; x = x + 1;",
+	res, err := explore.New(machines.SPAM2Source, "var x; x = 41; x = x + 1;",
 		explore.WithMaxIters(1)).Run()
 	if err != nil {
 		t.Fatal(err)
