@@ -37,11 +37,11 @@
 // iterations and restarts (see docs/PIPELINE.md); for every strategy the
 // result is bit-identical to a sequential, uncached run.
 //
-// -store dir:PATH backs the memo with a shared store (docs/PIPELINE.md): a
-// directory any number of concurrent processes may share, and the one way
-// to reuse results across runs. Every evaluation, and every aot simulator
-// binary, is read from and written through to the store, so two explorers
-// sharing it never evaluate the same architecture twice.
+// -store dir:PATH backs the memo with a store directory (docs/PIPELINE.md)
+// that any number of concurrent processes may share, and the one way to
+// reuse results across runs. Every evaluation is read from and written
+// through to the directory, so two explorers sharing it never evaluate the
+// same architecture twice.
 //
 // The run is instrumented end to end (docs/OBSERVABILITY.md): -trace-out
 // writes a Chrome trace_event file (open in chrome://tracing or
@@ -63,10 +63,8 @@ import (
 	"strings"
 
 	"repro/internal/atomicfile"
-	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/gensim"
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/xsim"
@@ -113,13 +111,21 @@ func main() {
 	if err := constraints.Validate(); err != nil {
 		fatal(err)
 	}
-	if *strategy != "pareto" {
-		if constraints.Active() {
-			fatal(fmt.Errorf("-max-runtime/-max-area/-max-power require -strategy pareto"))
-		}
-		if *frontierOut != "" {
-			fatal(fmt.Errorf("-frontier-out requires -strategy pareto"))
-		}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case *strategy != "pareto" && constraints.Active():
+		fatal(fmt.Errorf("-max-runtime/-max-area/-max-power require -strategy pareto"))
+	case *strategy != "pareto" && *frontierOut != "":
+		fatal(fmt.Errorf("-frontier-out requires -strategy pareto"))
+	case *strategy != "pareto" && set["frontier-cap"]:
+		fatal(fmt.Errorf("-frontier-cap requires -strategy pareto"))
+	case *strategy != "beam" && set["beam"]:
+		fatal(fmt.Errorf("-beam requires -strategy beam"))
+	case *beamWidth < 1:
+		fatal(fmt.Errorf("-beam %d: want a width of at least 1", *beamWidth))
+	case *frontierCap < 0:
+		fatal(fmt.Errorf("-frontier-cap %d: want 0 (unbounded) or a positive cap", *frontierCap))
 	}
 	frontierWriter, err := frontierWriterFor(*frontierOut)
 	if err != nil {
@@ -148,12 +154,13 @@ func main() {
 	if !*noCache {
 		cache = core.NewEvalCache()
 		if *storeSpec != "" {
-			st, err := blob.Open(*storeSpec)
+			root, err := storeDir(*storeSpec)
+			if err == nil {
+				err = cache.UseDir(root)
+			}
 			if err != nil {
 				fatal(err)
 			}
-			cache.SetStore(st)
-			gensim.SetStore(st) // share built aot simulator binaries too
 			fmt.Printf("sharing artifacts via %s\n", *storeSpec)
 		}
 	} else if *storeSpec != "" {
@@ -226,6 +233,15 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
+}
+
+// storeDir parses the -store spec: dir:PATH names the store directory, and
+// any other form is rejected.
+func storeDir(spec string) (string, error) {
+	if root, ok := strings.CutPrefix(spec, "dir:"); ok && root != "" {
+		return root, nil
+	}
+	return "", fmt.Errorf("-store %q: want dir:PATH", spec)
 }
 
 // frontierWriterFor picks the -frontier-out serializer by file extension

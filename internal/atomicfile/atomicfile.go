@@ -1,7 +1,8 @@
 // Package atomicfile is the one home of the temp+fsync+rename atomic
 // write pattern used everywhere a file must never be observed half
 // written: the CLIs' output files, the gensim build cache
-// (internal/gensim) and the directory blob store (internal/blob).
+// (internal/gensim) and the evaluation memo's store directory
+// (internal/core).
 // A crash or kill mid-write leaves either the old file or the new one —
 // never a truncated file that would poison the next reader.
 package atomicfile

@@ -7,19 +7,22 @@ package core
 // whole evaluations, keyed by a cryptographic hash of the canonical ISDL
 // text (isdl.Format output, so formatting differences never split
 // equivalent architectures), the kernel, and the evaluator settings the
-// figures depend on. With SetStore, a blob store (internal/blob) backs the
-// memo: evaluations are written through and consulted on a memory miss, so
+// figures depend on. With UseDir, a store directory backs the memo:
+// evaluations are written through and consulted on a memory miss, so
 // processes sharing a store directory never evaluate the same candidate
 // twice.
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 
-	"repro/internal/blob"
+	"repro/internal/atomicfile"
 	"repro/internal/obs"
 )
 
@@ -34,10 +37,10 @@ const (
 	StageCompile
 	// StageAssemble is the assembler: assembly text → *asm.Program.
 	StageAssemble
-	// StageSimulate is the instruction-level simulator: program →
-	// SimArtifact.
+	// StageSimulate is the instruction-level simulator: program → cycle
+	// count and *xsim.Stats.
 	StageSimulate
-	// StageSynthesize is the hardware model: description → SynthArtifact.
+	// StageSynthesize is the hardware model: description → *hgen.Result.
 	StageSynthesize
 	// StageCombine folds simulation and synthesis into the final
 	// *Evaluation.
@@ -83,14 +86,14 @@ func EvalKey(parts ...string) CacheKey {
 	return k
 }
 
-// persistVersion is part of the store namespace, so a store populated by
+// persistVersion names the store's subdirectory, so a store populated by
 // an older toolchain is simply invisible to a newer one instead of
-// misread. Bump it whenever the blob format or the key composition
-// changes. Version 3: one namespace of whole evaluations, keyed by the
-// evaluator settings as well.
+// misread. Bump it whenever the entry format or the key composition
+// changes. Version 3: whole evaluations, keyed by the evaluator settings
+// as well.
 const persistVersion = 3
 
-// storeNS is the memo's blob namespace.
+// storeNS is the memo's subdirectory of a store directory.
 var storeNS = fmt.Sprintf("eval.v%d", persistVersion)
 
 // memoEntry is one completed evaluation: the figures or the deterministic
@@ -101,7 +104,7 @@ type memoEntry struct {
 	err error
 }
 
-// storedEntry is a memo entry's blob body: exactly one of Err and Eval is
+// storedEntry is a memo entry's file body: exactly one of Err and Eval is
 // set. The live hardware model does not travel.
 type storedEntry struct {
 	Err  string      `json:"err,omitempty"`
@@ -123,7 +126,7 @@ type EvalCache struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 	bound  *obs.Registry // registry the counters live in, nil if standalone
-	store  blob.Store    // backing store, nil for memory-only
+	dir    string        // <store root>/<storeNS>, "" for memory-only
 	// Store traffic: lookups it served, lookups it could not answer, and
 	// I/O or decode errors that degraded to recomputation.
 	storeHits, storeMisses, storeErrs *obs.Counter
@@ -172,17 +175,31 @@ func (c *EvalCache) Bind(r *obs.Registry) {
 	}
 }
 
-// SetStore attaches the backing blob store (blob.Open("mem" | "dir:PATH")).
-// Set it before evaluation starts; entries already memoized are not
-// backfilled. A nil store detaches (memory-only, the default).
-func (c *EvalCache) SetStore(bs blob.Store) {
+// UseDir backs the memo with a store directory, created if absent. Each
+// evaluation is one file at <root>/eval.v3/<kk>/<key hex> (kk = the key's
+// first two hex digits), written atomically, so any number of processes
+// may share root concurrently: a reader sees a whole entry or none, and
+// same-key writers race benignly because equal keys carry equal results.
+// Call it before evaluation starts; entries already memoized are not
+// backfilled.
+func (c *EvalCache) UseDir(root string) error {
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return fmt.Errorf("core: store directory: %w", err)
+	}
 	c.mu.Lock()
-	c.store = bs
+	c.dir = filepath.Join(root, storeNS)
 	c.mu.Unlock()
+	return nil
+}
+
+// entryPath is the file holding key k under the store subdirectory dir.
+func entryPath(dir string, k CacheKey) string {
+	h := hex.EncodeToString(k[:])
+	return filepath.Join(dir, h[:2], h)
 }
 
 // Get looks up a key, counting a hit or a miss. On a hit it returns the
-// memoized evaluation or error. A memory miss consults the attached store
+// memoized evaluation or error. A memory miss consults the store directory
 // before counting the miss; a store hit is installed in memory and counts
 // as a hit, so Stats reflect work avoided wherever the evaluation came
 // from. Store trouble degrades to a miss: the candidate is recomputed,
@@ -190,35 +207,36 @@ func (c *EvalCache) SetStore(bs blob.Store) {
 func (c *EvalCache) Get(k CacheKey) (ev *Evaluation, err error, ok bool) {
 	c.mu.Lock()
 	e, ok := c.table[k]
-	bs := c.store
+	dir := c.dir
 	if ok {
 		c.hits.Inc()
-	} else if bs == nil {
+	} else if dir == "" {
 		c.misses.Inc()
 	}
 	c.mu.Unlock()
-	if !ok && bs != nil {
-		e, ok = c.storeGet(bs, k)
+	if !ok && dir != "" {
+		e, ok = c.storeGet(dir, k)
 	}
 	return e.ev, e.err, ok
 }
 
-// storeGet reads one entry from the store after a memory miss and counts
-// the lookup's outcome.
-func (c *EvalCache) storeGet(bs blob.Store, k CacheKey) (memoEntry, bool) {
-	data, err := bs.Get(storeNS, blob.Key(k))
+// storeGet reads one entry from the store directory after a memory miss
+// and counts the lookup's outcome: a missing file is a store miss, an
+// unreadable or undecodable one a store error.
+func (c *EvalCache) storeGet(dir string, k CacheKey) (memoEntry, bool) {
+	data, err := os.ReadFile(entryPath(dir, k))
 	var se storedEntry
 	if err == nil {
 		err = json.Unmarshal(data, &se)
 	}
 	if err == nil && se.Err == "" && se.Eval == nil {
-		err = errors.New("blob carries no evaluation")
+		err = errors.New("store entry carries no evaluation")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
 		c.misses.Inc()
-		if errors.Is(err, blob.ErrNotFound) {
+		if errors.Is(err, os.ErrNotExist) {
 			c.storeMisses.Inc()
 		} else {
 			c.storeErrs.Inc()
@@ -236,16 +254,16 @@ func (c *EvalCache) storeGet(bs blob.Store, k CacheKey) (memoEntry, bool) {
 }
 
 // Put stores a completed evaluation (or its deterministic failure) under a
-// key and writes it through to the attached store; a store write error is
+// key and writes it through to the store directory; a store write error is
 // counted and otherwise ignored, since memory already has the entry.
 // Concurrent Puts for the same key are benign: evaluation is a pure
 // function of the key, so every writer stores the same result.
 func (c *EvalCache) Put(k CacheKey, ev *Evaluation, err error) {
 	c.mu.Lock()
 	c.table[k] = memoEntry{ev: ev, err: err}
-	bs := c.store
+	dir := c.dir
 	c.mu.Unlock()
-	if bs == nil || (ev == nil && err == nil) {
+	if dir == "" || (ev == nil && err == nil) {
 		return
 	}
 	var se storedEntry
@@ -258,7 +276,10 @@ func (c *EvalCache) Put(k CacheKey, ev *Evaluation, err error) {
 	}
 	data, jerr := json.Marshal(&se)
 	if jerr == nil {
-		jerr = bs.Put(storeNS, blob.Key(k), data)
+		p := entryPath(dir, k)
+		if jerr = os.MkdirAll(filepath.Dir(p), 0o755); jerr == nil {
+			jerr = atomicfile.WriteFile(p, data, 0o644)
+		}
 	}
 	if jerr != nil {
 		c.mu.Lock()
@@ -274,7 +295,7 @@ func (c *EvalCache) Stats() (hits, misses uint64) {
 	return c.hits.Value(), c.misses.Value()
 }
 
-// StoreStats returns the store traffic: lookups the attached store served,
+// StoreStats returns the store traffic: lookups the store directory served,
 // lookups it could not answer, and store or decode errors that degraded to
 // recomputation.
 func (c *EvalCache) StoreStats() (hits, misses, errors uint64) {

@@ -94,7 +94,7 @@ func NewEvaluator() *Evaluator {
 
 // Evaluate runs the full methodology for one candidate and workload.
 func (ev *Evaluator) Evaluate(d *isdl.Description, prog *asm.Program, workload string) (*Evaluation, error) {
-	simArt, err := runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, nil)
+	cycles, stats, err := runSimulation(d, prog, ev.MaxInstructions, workload, ev.SimBackend, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +104,7 @@ func (ev *Evaluator) Evaluate(d *isdl.Description, prog *asm.Program, workload s
 		return nil, fmt.Errorf("core: synthesize: %w", err)
 	}
 
-	return combineArtifacts(d.Name, workload, simArt,
-		SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ, Result: hw},
-		ev.Lib), nil
+	return combine(d.Name, workload, cycles, stats, hw, ev.Lib), nil
 }
 
 // EvaluateSource is the convenience entry point over raw text: the ISDL
@@ -127,26 +125,21 @@ func (ev *Evaluator) EvaluateSource(isdlText, asmText, workload string) (*Evalua
 // the evaluation figures. It is exported so callers that already ran the
 // simulator (e.g. with breakpoints or traces) can reuse the methodology.
 func Combine(d *isdl.Description, workload string, sim *xsim.Simulator, hw *hgen.Result, lib *tech.Library) *Evaluation {
-	return combineArtifacts(d.Name, workload,
-		SimArtifact{Cycles: sim.Cycle(), Stats: sim.Stats()},
-		SynthArtifact{CycleNs: hw.CycleNs, AreaCells: hw.AreaCells, EnergyPerInstrPJ: hw.EnergyPerInstrPJ, Result: hw},
-		lib)
+	return combine(d.Name, workload, sim.Cycle(), sim.Stats(), hw, lib)
 }
 
-// combineArtifacts is the stage-artifact form of Combine: pure arithmetic
-// over detached simulation measurements and synthesis figures, so it works
-// for artifacts restored from a persisted cache just as for live runs.
-func combineArtifacts(machine, workload string, sa SimArtifact, ha SynthArtifact, lib *tech.Library) *Evaluation {
-	stats := sa.Stats
+// combine is pure arithmetic over a run's cycle count and statistics and
+// the synthesized hardware model; every evaluation path ends here.
+func combine(machine, workload string, cycles uint64, stats *xsim.Stats, hw *hgen.Result, lib *tech.Library) *Evaluation {
 	e := &Evaluation{
 		Machine:      machine,
 		Workload:     workload,
-		Cycles:       sa.Cycles,
+		Cycles:       cycles,
 		Instructions: stats.Instructions,
 		Stats:        stats,
-		CycleNs:      ha.CycleNs,
-		AreaCells:    ha.AreaCells,
-		Hardware:     ha.Result,
+		CycleNs:      hw.CycleNs,
+		AreaCells:    hw.AreaCells,
+		Hardware:     hw,
 	}
 	e.RuntimeUs = float64(e.Cycles) * e.CycleNs / 1e3
 
@@ -167,7 +160,7 @@ func combineArtifacts(machine, workload string, sa SimArtifact, ha SynthArtifact
 	}
 	var switchedPJ float64
 	if e.Cycles > 0 {
-		switchedPJ = ha.EnergyPerInstrPJ * (busy*activity + idle*0.1)
+		switchedPJ = hw.EnergyPerInstrPJ * (busy*activity + idle*0.1)
 	}
 	dynamicMW := 0.0
 	if e.Cycles > 0 {

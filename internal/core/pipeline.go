@@ -26,23 +26,6 @@ import (
 	"repro/internal/xsim"
 )
 
-// SimArtifact is the Simulate stage's result: the measurements Combine
-// needs, detached from the live simulator.
-type SimArtifact struct {
-	Cycles uint64
-	Stats  *xsim.Stats
-}
-
-// SynthArtifact is the Synthesize stage's result: the cost figures Combine
-// needs, plus the full hardware model (Result) when synthesis ran in this
-// process.
-type SynthArtifact struct {
-	CycleNs          float64
-	AreaCells        float64
-	EnergyPerInstrPJ float64
-	Result           *hgen.Result
-}
-
 // Pipeline runs the staged methodology with whole-evaluation memoization.
 type Pipeline struct {
 	// Evaluator configures the methodology; nil uses NewEvaluator().
@@ -143,38 +126,35 @@ func (p *Pipeline) runStages(ev *Evaluator, d *isdl.Description, kernel, workloa
 	if err != nil {
 		return nil, err
 	}
-	simArt, err := stageRun(p, parent, StageSimulate, func() (SimArtifact, error) {
-		return runSimulation(d, prog, ev.MaxInstructions, workload, simBackend, p.Obs)
+	var cycles uint64
+	stats, err := stageRun(p, parent, StageSimulate, func() (st *xsim.Stats, err error) {
+		cycles, st, err = runSimulation(d, prog, ev.MaxInstructions, workload, simBackend, p.Obs)
+		return st, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	synthArt, err := stageRun(p, parent, StageSynthesize, func() (SynthArtifact, error) {
+	hw, err := stageRun(p, parent, StageSynthesize, func() (*hgen.Result, error) {
 		hw, err := hgen.Synthesize(d, ev.Lib, ev.Synthesis)
 		if err != nil {
-			return SynthArtifact{}, fmt.Errorf("core: synthesize: %w", err)
+			return nil, fmt.Errorf("core: synthesize: %w", err)
 		}
 		if p.Obs != nil {
 			publishSynth(p.Obs, hw)
 		}
-		return SynthArtifact{
-			CycleNs:          hw.CycleNs,
-			AreaCells:        hw.AreaCells,
-			EnergyPerInstrPJ: hw.EnergyPerInstrPJ,
-			Result:           hw,
-		}, nil
+		return hw, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Combine: pure arithmetic over the two artifacts, timed but not
+	// Combine: pure arithmetic over the two stages' results, timed but not
 	// spanned.
 	var start time.Time
 	if p.Obs != nil {
 		start = time.Now()
 	}
-	e := combineArtifacts(d.Name, workload, simArt, synthArt, ev.Lib)
+	e := combine(d.Name, workload, cycles, stats, hw, ev.Lib)
 	if p.Obs != nil {
 		p.Obs.Histogram("stage.combine.ns").Observe(time.Since(start))
 	}
@@ -225,20 +205,20 @@ func (p *Pipeline) runCodegen(parent *obs.Span, d *isdl.Description) error {
 }
 
 // runSimulation executes a program on a fresh engine of the requested
-// backend and detaches the measurements; the engine's own perf counters are
-// published into the registry (they are per-run deltas here, so repeated
-// publishes sum to the total simulated work).
-func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, backend xsim.Backend, r *obs.Registry) (SimArtifact, error) {
+// backend and returns its cycle count and statistics; the engine's own perf
+// counters are published into the registry (they are per-run deltas here,
+// so repeated publishes sum to the total simulated work).
+func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload string, backend xsim.Backend, r *obs.Registry) (uint64, *xsim.Stats, error) {
 	eng, info, err := xsim.NewEngine(d, backend)
 	if err != nil {
-		return SimArtifact{}, fmt.Errorf("core: simulator backend: %w", err)
+		return 0, nil, fmt.Errorf("core: simulator backend: %w", err)
 	}
 	defer eng.Close()
 	if r != nil && info.FallbackReason != "" {
 		r.Counter("sim.backend.fallback").Inc()
 	}
 	if err := eng.Load(prog); err != nil {
-		return SimArtifact{}, fmt.Errorf("core: load: %w", err)
+		return 0, nil, fmt.Errorf("core: load: %w", err)
 	}
 	if limit <= 0 {
 		limit = 100_000_000
@@ -248,12 +228,12 @@ func runSimulation(d *isdl.Description, prog *asm.Program, limit int64, workload
 		eng.Perf().Publish(r)
 	}
 	if err != nil {
-		return SimArtifact{}, fmt.Errorf("core: simulate: %w", err)
+		return 0, nil, fmt.Errorf("core: simulate: %w", err)
 	}
 	if !eng.Halted() {
-		return SimArtifact{}, fmt.Errorf("core: workload %s did not halt within %d instructions", workload, limit)
+		return 0, nil, fmt.Errorf("core: workload %s did not halt within %d instructions", workload, limit)
 	}
-	return SimArtifact{Cycles: eng.Cycle(), Stats: eng.Stats()}, nil
+	return eng.Cycle(), eng.Stats(), nil
 }
 
 // stageRun runs one stage, instrumented with a latency histogram and a

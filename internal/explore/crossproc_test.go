@@ -1,6 +1,6 @@
 package explore_test
 
-// Two *processes* sharing a directory blob store never evaluate the same
+// Two *processes* sharing a store directory never evaluate the same
 // architecture twice. Process A (a re-exec of this test binary) explores
 // SPAM2 and populates the store; process B re-runs the identical
 // exploration and recomputes nothing — the evaluation cache reports zero
@@ -15,7 +15,6 @@ import (
 	"os/exec"
 	"testing"
 
-	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/machines"
@@ -94,12 +93,10 @@ func TestCrossProcessExploreHelper(t *testing.T) {
 	if storeDir == "" {
 		t.Skip("helper; run via TestCrossProcessStoreSharing")
 	}
-	st, err := blob.NewDir(storeDir)
-	if err != nil {
+	cache := core.NewEvalCache()
+	if err := cache.UseDir(storeDir); err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewEvalCache()
-	cache.SetStore(st)
 	reg := obs.NewRegistry()
 	res, err := explore.New(machines.SPAM2Source, kernel,
 		explore.WithCache(cache),

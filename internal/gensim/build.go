@@ -5,13 +5,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/atomicfile"
-	"repro/internal/blob"
 	"repro/internal/isdl"
 )
 
@@ -47,38 +44,6 @@ func CacheDir() string {
 	return filepath.Join(os.TempDir(), "repro-gensim")
 }
 
-// The shared build store. When a blob.Store is attached (SetStore — the
-// CLIs wire their -store flag here), built simulator binaries are
-// published under a namespace keyed by generator version and platform,
-// so one process's native build serves every other process of the same
-// platform sharing the store: the local fingerprint-keyed cache dir
-// stays the first tier, the store becomes the second — the same
-// arrangement as internal/core's evaluation cache.
-var (
-	storeMu sync.Mutex
-	store   blob.Store
-)
-
-// SetStore attaches (or, with nil, detaches) the shared artifact store
-// consulted and populated by Build.
-func SetStore(s blob.Store) {
-	storeMu.Lock()
-	store = s
-	storeMu.Unlock()
-}
-
-func getStore() blob.Store {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return store
-}
-
-// storeNS is the binary namespace: binaries are platform- and
-// generator-version-specific, the fingerprint key covers the rest.
-func storeNS() string {
-	return fmt.Sprintf("gensim.bin.g%d.%s-%s", GeneratorVersion, runtime.GOOS, runtime.GOARCH)
-}
-
 // BuildResult describes one generate+build: where the binary landed,
 // whether the cache already had it, and how long codegen+build took.
 type BuildResult struct {
@@ -86,10 +51,7 @@ type BuildResult struct {
 	Bin         string // built simulator binary
 	Fingerprint string
 	CacheHit    bool
-	// StoreHit reports the binary was fetched from the shared blob store
-	// rather than built locally (CacheHit is also set: no build ran).
-	StoreHit bool
-	BuildNs  int64
+	BuildNs     int64
 }
 
 // Build generates, compiles and caches the specialized simulator for d.
@@ -118,20 +80,10 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("gensim: cache dir: %w", err)
 	}
-	// Keep the source in the cache entry: the plugin fast path rebuilds
-	// from it, and it is the artifact to read when debugging.
+	// Keep the source in the cache entry: it is the artifact to read when
+	// debugging.
 	if err := writeModule(dir, src); err != nil {
 		return nil, err
-	}
-	// Second tier: a binary another process of the same platform already
-	// built and published. Store trouble
-	// degrades to a local build, never a failure.
-	if st := getStore(); st != nil {
-		if data, err := st.Get(storeNS(), blob.KeyOf(fp)); err == nil {
-			if err := atomicfile.WriteFile(bin, data, 0o755); err == nil {
-				return &BuildResult{Dir: dir, Bin: bin, Fingerprint: fp, CacheHit: true, StoreHit: true}, nil
-			}
-		}
 	}
 	// Build in a scratch dir and rename into place so concurrent builders
 	// of the same description race benignly.
@@ -143,7 +95,7 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 	if err := writeModule(tmp, src); err != nil {
 		return nil, err
 	}
-	out, err := runGoBuild(gobin, tmp, filepath.Join(tmp, "sim"), "")
+	out, err := runGoBuild(gobin, tmp, filepath.Join(tmp, "sim"))
 	if err != nil {
 		return nil, fmt.Errorf("gensim: go build: %v\n%s", err, firstLines(out, 20))
 	}
@@ -152,13 +104,6 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 		// identical (same fingerprint), so losing is fine.
 		if _, statErr := os.Stat(bin); statErr != nil {
 			return nil, fmt.Errorf("gensim: install binary: %w", err)
-		}
-	}
-	// Publish for the next machine; best-effort, the local cache already
-	// has the binary.
-	if st := getStore(); st != nil {
-		if data, err := os.ReadFile(bin); err == nil {
-			st.Put(storeNS(), blob.KeyOf(fp), data)
 		}
 	}
 	return &BuildResult{
@@ -171,8 +116,8 @@ func Build(d *isdl.Description) (*BuildResult, error) {
 
 // writeModule lays out a self-contained module around the generated
 // main. Writes are atomic (internal/atomicfile) because the cache entry
-// directory is shared: a concurrent process reading the entry — the
-// plugin fast path rebuilds from main.go — must never see a torn file.
+// directory is shared: a concurrent process reading the entry must never
+// see a torn file.
 func writeModule(dir, src string) error {
 	gomod := "module gensim-generated\n\ngo 1.21\n"
 	if err := atomicfile.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
@@ -185,14 +130,8 @@ func writeModule(dir, src string) error {
 }
 
 // runGoBuild invokes the toolchain with an isolated build environment.
-// buildmode, when non-empty, is passed through (plugin fast path).
-func runGoBuild(gobin, dir, out, buildmode string) ([]byte, error) {
-	args := []string{"build", "-o", out}
-	if buildmode != "" {
-		args = append(args, "-buildmode="+buildmode)
-	}
-	args = append(args, ".")
-	cmd := exec.Command(gobin, args...)
+func runGoBuild(gobin, dir, out string) ([]byte, error) {
+	cmd := exec.Command(gobin, "build", "-o", out, ".")
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(),
 		"GOFLAGS=-mod=mod",

@@ -702,18 +702,6 @@ func serveReq(req *runReq) *runResp {
 	return &runResp{Err: "unknown op " + req.Op}
 }
 
-// Serve handles one JSON-encoded protocol request in-process; the plugin
-// fast path looks this symbol up instead of spawning a subprocess.
-func Serve(req []byte) []byte {
-	var r runReq
-	if err := json.Unmarshal(req, &r); err != nil {
-		b, _ := json.Marshal(&runResp{Err: err.Error()})
-		return b
-	}
-	b, _ := json.Marshal(serveReq(&r))
-	return b
-}
-
 func main() {
 	out := bufio.NewWriter(os.Stdout)
 	enc := json.NewEncoder(out)

@@ -13,8 +13,7 @@
 //
 // The source is built once per description with `go build` into a cache
 // directory keyed by the ISDL fingerprint and driven over a versioned
-// JSON-lines stdin/stdout protocol (docs/GENSIM.md); an optional plugin fast
-// path loads the same code in-process. The generated simulator is
+// JSON-lines stdin/stdout protocol (docs/GENSIM.md). The generated simulator is
 // bit-identical to the interpreter and closure cores — final state, Stats,
 // stall counts, fault messages — which the differential gauntlet in this
 // package enforces. Descriptions outside the specializable subset (an RTL
@@ -34,7 +33,7 @@ import (
 
 // GeneratorVersion tags the emitted code shape; it is part of the build
 // fingerprint, so bumping it invalidates every cached binary.
-const GeneratorVersion = 2
+const GeneratorVersion = 3
 
 // ProtoVersion is the stdin/stdout protocol version; the handshake rejects
 // a mismatched child binary.

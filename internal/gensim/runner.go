@@ -63,11 +63,9 @@ type wireResp struct {
 	State        []wireState       `json:"state,omitempty"`
 }
 
-// runner drives one generated simulator: a subprocess over stdin/stdout,
-// or — on the plugin fast path — an in-process Serve function.
+// runner drives one generated simulator subprocess over stdin/stdout.
 type runner struct {
 	mu    sync.Mutex
-	serve func([]byte) []byte // plugin fast path; nil for subprocess
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
 	out   *bufio.Reader
@@ -110,27 +108,11 @@ func newRunner(bin, fp string) (*runner, error) {
 	return r, nil
 }
 
-// newPluginRunner wraps an in-process Serve function (plugin fast path).
-func newPluginRunner(serve func([]byte) []byte) *runner {
-	return &runner{serve: serve}
-}
-
 // run executes one request/response round trip. Serialized: the child
 // handles one request at a time.
 func (r *runner) run(req *wireReq) (*wireResp, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.serve != nil {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
-		var resp wireResp
-		if err := json.Unmarshal(r.serve(b), &resp); err != nil {
-			return nil, fmt.Errorf("gensim: plugin response: %w", err)
-		}
-		return &resp, nil
-	}
 	if r.dead {
 		return nil, fmt.Errorf("gensim: simulator process is gone")
 	}
@@ -159,9 +141,6 @@ func (r *runner) run(req *wireReq) (*wireResp, error) {
 func (r *runner) close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.serve != nil || r.cmd == nil {
-		return
-	}
 	if !r.dead {
 		r.stdin.Write([]byte(`{"op":"quit"}` + "\n"))
 	}
@@ -181,8 +160,6 @@ func (r *runner) close() {
 }
 
 func (r *runner) kill() {
-	if r.cmd != nil && r.cmd.Process != nil {
-		r.cmd.Process.Kill()
-		r.cmd.Wait()
-	}
+	r.cmd.Process.Kill()
+	r.cmd.Wait()
 }
