@@ -234,10 +234,32 @@ func BenchmarkParseISDL(b *testing.B) {
 	}
 }
 
+// BenchmarkDeriveISDL measures deriving one exploration move from a
+// template: copy the SPAM syntax tree, retime one operation, run the
+// semantic pass on the copy and format it — what a move costs instead of
+// a parse.
+func BenchmarkDeriveISDL(b *testing.B) {
+	t, err := isdl.NewTemplate(machines.SPAMSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deepen := func(d *isdl.Description) bool {
+		d.Fields[0].Ops[1].Timing.Latency++
+		return true
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := t.Derive(deepen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Exploration engine (Figure 1 loop) --------------------------------------
 
 // benchExplore measures the whole iterative-improvement loop on SPAM —
-// every neighbour candidate runs the full parse → compile → assemble →
+// one template parse per iteration, then every neighbour candidate is
+// derived from a copied syntax tree and runs the compile → assemble →
 // simulate → synthesize pipeline — under the given concurrency and
 // memoization knobs, optionally instrumented with a live obs.Registry
 // collecting every metric and span. All variants produce bit-identical
@@ -269,10 +291,13 @@ func benchExplore(b *testing.B, workers int, cached, instrumented bool, extra ..
 }
 
 // BenchmarkExplore_SPAM is the exploration-throughput benchmark: the
-// sequential/uncached row is the pre-PR baseline, the parallel/cached row
-// the full engine. The -obs rows run with a live metrics registry —
-// compare par-cache with par-cache-obs for the instrumentation overhead
-// (budgeted at ≤ 5%).
+// sequential/uncached row is the engine with every lever off, the
+// parallel/cached row the full engine. Move generation runs on the
+// explore goroutine in every row (one template parse per iteration, one
+// copy + semantic pass + format per move; BenchmarkDeriveISDL measures a
+// move), so it is the serial part the parallel rows cannot hide. The -obs
+// rows run with a live metrics registry — compare par-cache with
+// par-cache-obs for the instrumentation overhead (budgeted at ≤ 5%).
 func BenchmarkExplore_SPAM(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { benchExplore(b, 1, false, false) })
 	b.Run("seq-cache", func(b *testing.B) { benchExplore(b, 1, true, false) })

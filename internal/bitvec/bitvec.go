@@ -13,7 +13,7 @@ package bitvec
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // MaxWidth bounds the width of a single value. It is far above anything an
@@ -665,8 +665,9 @@ func (v Value) String() string {
 		return "0'h0"
 	}
 	digits := (v.width + 3) / 4
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d'h", v.width)
+	b := make([]byte, 0, 8+digits)
+	b = strconv.AppendInt(b, int64(v.width), 10)
+	b = append(b, '\'', 'h')
 	started := false
 	for i := digits - 1; i >= 0; i-- {
 		nib := (v.word(i*4/64) >> (uint(i*4) % 64)) & 0xf
@@ -674,9 +675,9 @@ func (v Value) String() string {
 			continue
 		}
 		started = true
-		fmt.Fprintf(&sb, "%x", nib)
+		b = append(b, "0123456789abcdef"[nib])
 	}
-	return sb.String()
+	return string(b)
 }
 
 // BitString renders v as a binary string, most significant bit first.

@@ -58,10 +58,6 @@ func (p *Pipeline) EvaluateKernel(isdlSrc, kernel, workload string) (*Evaluation
 // passes its per-candidate span). A nil parent starts stage spans at the
 // root; with a nil Obs registry it behaves exactly like EvaluateKernel.
 func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
-	ev := p.Evaluator
-	if ev == nil {
-		ev = NewEvaluator()
-	}
 	var start time.Time
 	if p.Obs != nil {
 		start = time.Now()
@@ -73,12 +69,25 @@ func (p *Pipeline) EvaluateKernelTraced(isdlSrc, kernel, workload string, parent
 	if err != nil {
 		return nil, fmt.Errorf("core: parse ISDL: %w", err)
 	}
+	return p.EvaluateDescription(d, isdl.Format(d), kernel, workload, parent)
+}
 
+// EvaluateDescription is the pipeline after Parse, for a description that
+// is already analysed: d comes from isdl.Parse or isdl.Template.Derive and
+// canon is isdl.Format(d), the text the memo is keyed by. The explorer
+// hands every derived move here, so a candidate is parsed and formatted
+// only once, when its move is derived. The caller must not modify d
+// afterwards.
+func (p *Pipeline) EvaluateDescription(d *isdl.Description, canon, kernel, workload string, parent *obs.Span) (*Evaluation, error) {
+	ev := p.Evaluator
+	if ev == nil {
+		ev = NewEvaluator()
+	}
 	c := p.Cache
 	if c == nil {
 		return p.runStages(ev, d, kernel, workload, parent)
 	}
-	key := EvalKey(ev.settingsKey(), isdl.Format(d), kernel)
+	key := EvalKey(ev.settingsKey(), canon, kernel)
 	if e, err, ok := c.Get(key); ok {
 		return e, err
 	}

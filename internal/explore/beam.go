@@ -81,7 +81,7 @@ func (b Beam) run(e *engine) (*Result, error) {
 		// setting reduces in.
 		var moves []move
 		for _, f := range frontier {
-			ns, err := neighbours(f.src)
+			ns, err := e.expand(f.src, iterSpan)
 			if err != nil {
 				iterSpan.End()
 				return nil, err

@@ -19,14 +19,18 @@
 //	        explore.WithRestarts(3, 1),
 //	        explore.WithWorkers(8)).Run()
 //
-// Candidates are materialized as ISDL text (isdl.Format) and re-parsed, so
-// every mutation passes the full semantic validation — exactly the paper's
-// flow, where the architecture synthesis system outputs an ISDL description
-// and every tool is regenerated from it. Changes happen at the granularity
-// of a single operation definition, the fine grain §4.1 argues
-// parameterized-architecture systems cannot reach. Whatever the strategy
-// and worker count, results are bit-identical: candidates are evaluated by
-// a bounded pool but reduced in move order.
+// Each iteration parses the current candidate once into an isdl.Template.
+// Every move is derived from a copy of its syntax tree: the edit is applied
+// to the copy, the copy passes the full semantic validation Parse applies,
+// and it is formatted once into the canonical ISDL text that keys the memo
+// and the seen-sets. The analysed description then goes straight to the
+// pipeline (core.Pipeline.EvaluateDescription) — the paper's flow, where
+// the architecture synthesis system outputs an ISDL description and every
+// tool is regenerated from it, without parsing text per candidate.
+// Changes happen at the granularity of a single operation definition, the
+// fine grain §4.1 argues parameterized-architecture systems cannot reach.
+// Whatever the strategy and worker count, results are bit-identical:
+// candidates are evaluated by a bounded pool but reduced in move order.
 package explore
 
 import (
@@ -144,50 +148,53 @@ type Event struct {
 	Line string
 }
 
-// move is one candidate mutation.
+// move is one candidate mutation: its action, its canonical ISDL text
+// (isdl.Format of the mutated description, so equal architectures reached
+// through different paths compare equal as strings) and the analysed
+// description that text stands for, until the candidate is evaluated.
 type move struct {
 	action string
 	src    string
+	desc   *isdl.Description
 }
 
-// neighbours generates the mutation set of a description. Every move's
-// src is canonical ISDL text (isdl.Format of the mutated description), so
-// equal architectures reached through different paths compare equal as
-// strings.
-func neighbours(src string) ([]move, error) {
-	base, err := isdl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	var out []move
-	add := func(action string, mutate func(d *isdl.Description) bool) {
-		d, err := isdl.Parse(src)
-		if err != nil {
-			return
-		}
-		if !mutate(d) {
-			return
-		}
-		text := isdl.Format(d)
-		if _, err := isdl.Parse(text); err != nil {
-			return // mutation produced an invalid description
-		}
-		out = append(out, move{action: action, src: text})
-	}
+// edit is one mutation of a description, before it is applied.
+type edit struct {
+	action string
+	apply  func(d *isdl.Description) bool
+}
 
+// neighbours derives every edit of t's description from t's syntax tree.
+// It returns the valid moves in edit order and the actions of the edits
+// the semantic pass rejected.
+func neighbours(t *isdl.Template) (moves []move, invalid []string) {
+	for _, ed := range edits(t.Base) {
+		d, text, err := t.Derive(ed.apply)
+		switch {
+		case err != nil:
+			invalid = append(invalid, ed.action)
+		case d != nil:
+			moves = append(moves, move{action: ed.action, src: text, desc: d})
+		}
+	}
+	return moves, invalid
+}
+
+// edits enumerates the mutation set of base in a fixed order. Each edit
+// addresses fields, operations and storage by index or name, so it applies
+// to any copy of base.
+func edits(base *isdl.Description) []edit {
+	var out []edit
 	// Remove one operation (never a nop: the assembler and scheduler fill
 	// empty VLIW slots with it).
-	for fi := range base.Fields {
-		for oi := range base.Fields[fi].Ops {
-			op := base.Fields[fi].Ops[oi]
-			if op.Name == "nop" || len(base.Fields[fi].Ops) == 1 {
+	for fi, f := range base.Fields {
+		for oi, op := range f.Ops {
+			if op.Name == "nop" || len(f.Ops) == 1 {
 				continue
 			}
-			name := op.QualName()
-			fi, oi := fi, oi
-			add("remove "+name, func(d *isdl.Description) bool {
+			out = append(out, edit{"remove " + op.QualName(), func(d *isdl.Description) bool {
 				return removeOp(d, fi, oi)
-			})
+			}})
 		}
 	}
 
@@ -195,41 +202,37 @@ func neighbours(src string) ([]move, error) {
 	for _, st := range base.Storage {
 		if st.Kind == isdl.StDataMemory && st.Depth >= 64 {
 			name := st.Name
-			add(fmt.Sprintf("halve %s depth", name), func(d *isdl.Description) bool {
-				s := d.StorageByName[name]
-				s.Depth /= 2
+			out = append(out, edit{fmt.Sprintf("halve %s depth", name), func(d *isdl.Description) bool {
+				d.StorageByName[name].Depth /= 2
 				return true
-			})
+			}})
 		}
 	}
 
 	// Retime multi-cycle operations: one pipeline stage fewer (deeper
 	// cycle) or one more (shorter cycle, more stalls).
-	for fi := range base.Fields {
-		for oi := range base.Fields[fi].Ops {
-			op := base.Fields[fi].Ops[oi]
+	for fi, f := range base.Fields {
+		for oi, op := range f.Ops {
 			if op.Timing.Latency <= 1 {
 				continue
 			}
 			name := op.QualName()
-			fi, oi := fi, oi
-			add("shorten "+name+" pipeline", func(d *isdl.Description) bool {
+			out = append(out, edit{"shorten " + name + " pipeline", func(d *isdl.Description) bool {
 				o := d.Fields[fi].Ops[oi]
 				o.Timing.Latency--
 				if o.Costs.Stall > 0 {
 					o.Costs.Stall--
 				}
 				return true
-			})
-			add("deepen "+name+" pipeline", func(d *isdl.Description) bool {
+			}}, edit{"deepen " + name + " pipeline", func(d *isdl.Description) bool {
 				o := d.Fields[fi].Ops[oi]
 				o.Timing.Latency++
 				o.Costs.Stall++
 				return true
-			})
+			}})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // removeOp deletes operation oi from field fi, dropping any constraint that

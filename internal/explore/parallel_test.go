@@ -193,6 +193,63 @@ func TestExploreInstrumentedExactCounters(t *testing.T) {
 	if spanCount["iteration"] != byKind["cache"] {
 		t.Errorf("iteration spans = %d, want %d", spanCount["iteration"], byKind["cache"])
 	}
+	// Move generation: one neighbours span under each iteration span and
+	// one explore.neighbours.ns observation per iteration. Every SPAM edit
+	// is valid, so no explore.moves.invalid counter appears.
+	iterIDs := map[uint64]bool{}
+	for _, s := range reg.Spans() {
+		if s.Name == "iteration" {
+			iterIDs[s.ID] = true
+		}
+	}
+	for _, s := range reg.Spans() {
+		if s.Name == "neighbours" && !iterIDs[s.Parent] {
+			t.Errorf("neighbours span %d is not a child of an iteration span", s.ID)
+		}
+	}
+	if spanCount["neighbours"] != byKind["cache"] {
+		t.Errorf("neighbours spans = %d, want %d", spanCount["neighbours"], byKind["cache"])
+	}
+	if n := reg.Histograms()["explore.neighbours.ns"].Count; n != byKind["cache"] {
+		t.Errorf("explore.neighbours.ns observations = %d, want %d", n, byKind["cache"])
+	}
+	if n, ok := c["explore.moves.invalid"]; ok {
+		t.Errorf("explore.moves.invalid = %d on SPAM, want no counter", n)
+	}
+}
+
+// TestExploreParsesOncePerIteration: moves are derived from one template
+// per iteration and enter the pipeline already analysed, so a hill climb
+// parses the base once and each current candidate at most twice, however
+// many candidates it scores. stage.parse.ns counts every parse.
+func TestExploreParsesOncePerIteration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration loop is slow")
+	}
+	reg := obs.NewRegistry()
+	var iters, cands uint64
+	_, err := explore.New(machines.SPAMSource, "var i, s;\ns = 0;\nfor i = 0 to 7 { s = s + i; }\n",
+		explore.WithMaxIters(2),
+		explore.WithWorkers(2),
+		explore.WithObs(reg),
+		explore.WithLog(func(ev explore.Event) {
+			switch ev.Kind {
+			case "cache":
+				iters++
+			case "candidate", "infeasible":
+				cands++
+			}
+		}),
+	).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cands < 20 {
+		t.Fatalf("only %d candidates scored; the bound needs at least 20", cands)
+	}
+	if parses := reg.Histograms()["stage.parse.ns"].Count; parses > 2*iters+1 {
+		t.Errorf("%d parses for %d candidates over %d iterations, want at most %d", parses, cands, iters, 2*iters+1)
+	}
 }
 
 // TestExploreCacheHitsAcrossIterations: the hill climb revisits equivalent

@@ -186,7 +186,7 @@ func (p Pareto) run(e *engine) (*Result, error) {
 		}
 		var moves []move
 		for _, src := range expand {
-			ns, err := neighbours(src)
+			ns, err := e.expand(src, iterSpan)
 			if err != nil {
 				iterSpan.End()
 				return nil, err

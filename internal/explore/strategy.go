@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/isdl"
 	"repro/internal/obs"
 	"repro/internal/xsim"
 )
@@ -250,21 +252,36 @@ func (e *engine) scoreChecked(ev *core.Evaluation) (float64, error) {
 	return s, nil
 }
 
-// evaluate runs the staged pipeline (core.Pipeline) for one candidate:
-// parse → compile kernel → assemble → simulate → synthesize → combine,
-// with the whole evaluation memoized per content-addressed key when the
-// pipeline has a cache (see docs/PIPELINE.md). Stage spans of executed
-// stages become children of sp in the trace.
-func (e *engine) evaluate(src string, sp *obs.Span) (*core.Evaluation, error) {
-	return e.pipe.EvaluateKernelTraced(src, e.cfg.Kernel, "kernel", sp)
+// expand parses one candidate into an isdl.Template (timed as
+// stage.parse.ns) and derives its moves, under a "neighbours" span of the
+// iteration. Edits the semantic pass rejects are counted in
+// explore.moves.invalid.
+func (e *engine) expand(src string, iterSpan *obs.Span) ([]move, error) {
+	sp := iterSpan.Child("neighbours")
+	defer sp.End()
+	start := time.Now()
+	t, err := isdl.NewTemplate(src)
+	e.obs().Histogram("stage.parse.ns").Observe(time.Since(start))
+	if err != nil {
+		return nil, err
+	}
+	moves, invalid := neighbours(t)
+	if len(invalid) > 0 {
+		e.obs().Counter("explore.moves.invalid").Add(uint64(len(invalid)))
+		sp.SetArg("invalid", strconv.Itoa(len(invalid)))
+	}
+	e.obs().Histogram("explore.neighbours.ns").Observe(time.Since(start))
+	return moves, nil
 }
 
-// evalBase scores the starting candidate and emits the "base" event.
+// evalBase scores the starting candidate and emits the "base" event. The
+// base goes through the whole staged pipeline (core.Pipeline), parse
+// included; moves enter it after Parse (evaluateAll).
 func (e *engine) evalBase() (*core.Evaluation, float64, error) {
 	sp := e.obs().StartSpanLane("candidate", 1)
 	sp.SetArg("action", "base")
 	e.obs().Counter("explore.candidates").Inc()
-	eval, err := e.evaluate(e.base, sp)
+	eval, err := e.pipe.EvaluateKernelTraced(e.base, e.cfg.Kernel, "kernel", sp)
 	sp.End()
 	if err != nil {
 		return nil, 0, fmt.Errorf("explore: base candidate: %w", err)
@@ -305,9 +322,14 @@ type outcome struct {
 }
 
 // evaluateAll scores every move, fanning out over the bounded worker pool.
-// outs[i] always corresponds to moves[i]; completion order never matters.
-// Each scored candidate gets a span on its worker's lane, parented to the
-// iteration span, so the trace shows the fan-out side by side.
+// Each move's derived description enters the staged pipeline
+// (core.Pipeline.EvaluateDescription) — compile kernel → assemble →
+// simulate → synthesize → combine, memoized per content-addressed key when
+// the pipeline has a cache (see docs/PIPELINE.md) — and is dropped once
+// scored. outs[i] always corresponds to moves[i]; completion order never
+// matters. Each scored candidate gets a span on its worker's lane,
+// parented to the iteration span, and its executed stages become children
+// of that span, so the trace shows the fan-out side by side.
 func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 	outs := make([]outcome, len(moves))
 	workers := e.workers
@@ -318,7 +340,8 @@ func (e *engine) evaluateAll(moves []move, iterSpan *obs.Span) []outcome {
 		sp := iterSpan.ChildLane("candidate", lane)
 		sp.SetArg("action", moves[i].action)
 		e.obs().Counter("explore.candidates").Inc()
-		outs[i].eval, outs[i].err = e.evaluate(moves[i].src, sp)
+		outs[i].eval, outs[i].err = e.pipe.EvaluateDescription(moves[i].desc, moves[i].src, e.cfg.Kernel, "kernel", sp)
+		moves[i].desc = nil
 		if outs[i].err != nil {
 			sp.SetArg("err", outs[i].err.Error())
 		}
@@ -368,7 +391,7 @@ func (HillClimb) run(e *engine) (*Result, error) {
 	for iter := 1; iter <= e.maxIters; iter++ {
 		iterSpan := e.obs().StartSpan("iteration")
 		iterSpan.SetArg("iter", strconv.Itoa(iter))
-		moves, err := neighbours(curSrc)
+		moves, err := e.expand(curSrc, iterSpan)
 		if err != nil {
 			iterSpan.End()
 			return nil, err

@@ -3,20 +3,22 @@ package isdl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Format renders a description back to ISDL source. The architecture
 // synthesis system of the paper emits ISDL descriptions (§4.1); the
-// exploration driver uses Format to materialize mutated candidates, and
-// Parse(Format(d)) re-validates them from scratch. Format(Parse(Format(d)))
-// is a fixpoint (covered by tests).
+// exploration driver formats every derived candidate (Template.Derive)
+// once, and that canonical text keys the evaluation memo.
+// Format(Parse(Format(d))) is a fixpoint (covered by tests), so the text
+// does not depend on whether a description was parsed or derived.
 func Format(d *Description) string {
 	var sb strings.Builder
 	if d.Name != "" {
-		fmt.Fprintf(&sb, "Machine %s;\n", d.Name)
+		sb.WriteString("Machine " + d.Name + ";\n")
 	}
-	fmt.Fprintf(&sb, "Format %d;\n\n", d.WordWidth)
+	sb.WriteString("Format " + strconv.Itoa(d.WordWidth) + ";\n\n")
 
 	sb.WriteString("Section Global_Definitions\n\n")
 	for _, name := range sortedKeys(d.Tokens) {
@@ -31,29 +33,29 @@ func Format(d *Description) string {
 
 	sb.WriteString("Section Storage\n\n")
 	for _, st := range d.Storage {
-		fmt.Fprintf(&sb, "%s %s width %d", st.Kind, st.Name, st.Width)
+		sb.WriteString(st.Kind.String() + " " + st.Name + " width " + strconv.Itoa(st.Width))
 		if st.Kind.Addressed() {
-			fmt.Fprintf(&sb, " depth %d", st.Depth)
+			sb.WriteString(" depth " + strconv.Itoa(st.Depth))
 		}
 		if st.Base != 0 {
-			fmt.Fprintf(&sb, " base %d", st.Base)
+			sb.WriteString(" base " + strconv.FormatUint(st.Base, 10))
 		}
 		sb.WriteString(";\n")
 	}
 	for _, a := range d.Aliases {
-		fmt.Fprintf(&sb, "Alias %s = %s", a.Name, a.Target)
+		sb.WriteString("Alias " + a.Name + " = " + a.Target)
 		if a.Indexed {
-			fmt.Fprintf(&sb, "[%d]", a.Index)
+			sb.WriteString("[" + strconv.FormatUint(a.Index, 10) + "]")
 		}
 		if a.Sliced {
-			fmt.Fprintf(&sb, "[%d:%d]", a.Hi, a.Lo)
+			sb.WriteString("[" + strconv.Itoa(a.Hi) + ":" + strconv.Itoa(a.Lo) + "]")
 		}
 		sb.WriteString(";\n")
 	}
 
 	sb.WriteString("\nSection Instruction_Set\n")
 	for _, f := range d.Fields {
-		fmt.Fprintf(&sb, "\nField %s:\n", f.Name)
+		sb.WriteString("\nField " + f.Name + ":\n")
 		for _, op := range f.Ops {
 			formatOp(&sb, op)
 		}
@@ -62,7 +64,7 @@ func Format(d *Description) string {
 	if len(d.Constraints) > 0 {
 		sb.WriteString("\nSection Constraints\n\n")
 		for _, c := range d.Constraints {
-			fmt.Fprintf(&sb, "constraint %s;\n", c.Text)
+			sb.WriteString("constraint " + c.Text + ";\n")
 		}
 	}
 
@@ -144,7 +146,8 @@ func formatNT(sb *strings.Builder, nt *NonTerminal) {
 }
 
 func formatOp(sb *strings.Builder, op *Operation) {
-	fmt.Fprintf(sb, "  op %s", op.Name)
+	sb.WriteString("  op ")
+	sb.WriteString(op.Name)
 	formatSyntax(sb, op.Syntax, op.Params)
 	sb.WriteByte('\n')
 	formatEncode(sb, "I", op.Encode, op.Params)
@@ -159,12 +162,12 @@ func formatSyntax(sb *strings.Builder, syn []SynElem, params []*Param) {
 			if el.Lit == "," {
 				sb.WriteString(" ,")
 			} else {
-				fmt.Fprintf(sb, " \"%s\"", el.Lit)
+				sb.WriteString(" \"" + el.Lit + "\"")
 			}
 			continue
 		}
 		p := params[el.Param]
-		fmt.Fprintf(sb, " (%s: %s)", p.Name, p.TypeName)
+		sb.WriteString(" (" + p.Name + ": " + p.TypeName + ")")
 	}
 }
 
@@ -174,17 +177,22 @@ func formatEncode(sb *strings.Builder, dst string, encode []*BitAssign, params [
 	}
 	sb.WriteString("    Encode { ")
 	for _, ba := range encode {
-		if ba.Hi == ba.Lo {
-			fmt.Fprintf(sb, "%s[%d] = ", dst, ba.Hi)
-		} else {
-			fmt.Fprintf(sb, "%s[%d:%d] = ", dst, ba.Hi, ba.Lo)
+		sb.WriteString(dst)
+		sb.WriteByte('[')
+		sb.WriteString(strconv.Itoa(ba.Hi))
+		if ba.Hi != ba.Lo {
+			sb.WriteByte(':')
+			sb.WriteString(strconv.Itoa(ba.Lo))
 		}
+		sb.WriteString("] = ")
 		if ba.ConstSet {
-			fmt.Fprintf(sb, "0b%s; ", ba.Const.BitString())
+			sb.WriteString("0b")
+			sb.WriteString(ba.Const.BitString())
+			sb.WriteString("; ")
 		} else {
 			sb.WriteString(params[ba.Param].Name)
 			if ba.PHi >= 0 {
-				fmt.Fprintf(sb, "[%d:%d]", ba.PHi, ba.PLo)
+				sb.WriteString("[" + strconv.Itoa(ba.PHi) + ":" + strconv.Itoa(ba.PLo) + "]")
 			}
 			sb.WriteString("; ")
 		}
@@ -196,24 +204,20 @@ func formatStmts(sb *strings.Builder, part string, stmts []Stmt) {
 	if len(stmts) == 0 {
 		return
 	}
-	fmt.Fprintf(sb, "    %s { ", part)
+	sb.WriteString("    " + part + " { ")
 	for _, s := range stmts {
-		sb.WriteString(s.String())
+		writeStmt(sb, s)
 		sb.WriteByte(' ')
 	}
 	sb.WriteString("}\n")
 }
 
 func formatCosts(sb *strings.Builder, c Costs, t Timing, isOption bool) {
-	if isOption {
-		if c != (Costs{}) {
-			fmt.Fprintf(sb, "    Cost { Cycle = %d; Stall = %d; Size = %d; }\n", c.Cycle, c.Stall, c.Size)
-		}
-		if t != (Timing{}) {
-			fmt.Fprintf(sb, "    Timing { Latency = %d; Usage = %d; }\n", t.Latency, t.Usage)
-		}
-		return
+	if !isOption || c != (Costs{}) {
+		sb.WriteString("    Cost { Cycle = " + strconv.Itoa(c.Cycle) + "; Stall = " + strconv.Itoa(c.Stall) +
+			"; Size = " + strconv.Itoa(c.Size) + "; }\n")
 	}
-	fmt.Fprintf(sb, "    Cost { Cycle = %d; Stall = %d; Size = %d; }\n", c.Cycle, c.Stall, c.Size)
-	fmt.Fprintf(sb, "    Timing { Latency = %d; Usage = %d; }\n", t.Latency, t.Usage)
+	if !isOption || t != (Timing{}) {
+		sb.WriteString("    Timing { Latency = " + strconv.Itoa(t.Latency) + "; Usage = " + strconv.Itoa(t.Usage) + "; }\n")
+	}
 }

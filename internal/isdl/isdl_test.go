@@ -1,6 +1,7 @@
 package isdl_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -281,10 +282,15 @@ func expectErr(t *testing.T, src, want string) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
+type errorCase struct {
+	name, src, want string
+}
+
+// errorCases are invalid descriptions and a fragment of the error each
+// must be rejected with, covering the lexer, the parser and the semantic
+// pass.
+func errorCases() []errorCase {
+	return []errorCase{
 		{"missing format", "Machine m;\nSection Storage\n", "Format"},
 		{"unknown section", header() + "Section Bogus\n", "unknown section"},
 		{"dup token", header() + "Token A \"R\" [0..1];\nToken A \"Q\" [0..1];\n" + storageAndField(), "duplicate token"},
@@ -319,9 +325,60 @@ func TestErrors(t *testing.T) {
 		{"unterminated string", header() + "Token A \"R [0..1];\n", "unterminated string"},
 		{"empty field", header() + storageOnly() + "Section Instruction_Set\nField F:\n", "no operations"},
 		{"dup op", header() + storageOnly() + "Section Instruction_Set\nField F:\n op a Encode { I[0:0] = 0b1; }\n op a Encode { I[0:0] = 0b0; }\n", "duplicate operation"},
+		{"unexpected character", header() + "$", "unexpected character '$'"},
 	}
-	for _, c := range cases {
+}
+
+func TestErrors(t *testing.T) {
+	for _, c := range errorCases() {
 		t.Run(c.name, func(t *testing.T) { expectErr(t, c.src, c.want) })
+	}
+}
+
+// TestTemplateAgreesWithParse: NewTemplate accepts exactly what Parse
+// accepts, with the same error, and its Text is Format of the parsed
+// source; an edit that declines derives nothing, and an edit that changes
+// nothing derives the template's own text.
+func TestTemplateAgreesWithParse(t *testing.T) {
+	for _, c := range errorCases() {
+		_, perr := isdl.Parse(c.src)
+		if _, terr := isdl.NewTemplate(c.src); fmt.Sprint(terr) != fmt.Sprint(perr) {
+			t.Errorf("%s: NewTemplate error %v, Parse error %v", c.name, terr, perr)
+		}
+	}
+	for _, src := range []string{machines.ToySource, machines.SPAMSource, machines.SPAM2Source} {
+		d, err := isdl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, err := isdl.NewTemplate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Text != isdl.Format(d) || isdl.Format(tp.Base) != tp.Text {
+			t.Fatalf("%s: template text is not the canonical text", d.Name)
+		}
+		if dd, text, err := tp.Derive(func(*isdl.Description) bool { return false }); dd != nil || text != "" || err != nil {
+			t.Fatalf("%s: a declined edit derived %v, %q, %v", d.Name, dd, text, err)
+		}
+		dd, text, err := tp.Derive(func(*isdl.Description) bool { return true })
+		if err != nil || text != tp.Text || isdl.Format(dd) != text {
+			t.Fatalf("%s: an empty edit derived different text (%v)", d.Name, err)
+		}
+	}
+}
+
+// TestLexerMaximalMunch: two-character operators win over their
+// one-character prefixes, with or without spaces around them.
+func TestLexerMaximalMunch(t *testing.T) {
+	src := header() + storageOnly() + "Section Instruction_Set\nField F:\n op a Encode { I[0:0] = 0b1; } Action { if (ACC<=ACC&&ACC!=0) { ACC<-ACC<<1; } }\n"
+	d, err := isdl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := d.Fields[0].Ops[0].Action[0].String()
+	if want := "if (((ACC <= ACC) && (ACC != 8'h0))) { ACC <- (ACC << 32'h1); }"; got != want {
+		t.Fatalf("lexed as %q, want %q", got, want)
 	}
 }
 
@@ -410,6 +467,25 @@ func TestFormatRoundTrip(t *testing.T) {
 					t.Fatalf("%s: %s signature changed across round trip", d.Name, op.QualName())
 				}
 			}
+		}
+	}
+}
+
+// TestFormatPinned: the canonical text of every zoo machine is pinned by
+// hash. It keys the evaluation memo, including entries other processes
+// wrote to a shared store, so a Format change that moves one byte must
+// show up here rather than as silent memo misses.
+func TestFormatPinned(t *testing.T) {
+	want := map[string]string{
+		"toy":    "e5483dc6499ae68cf4504db405c01511ae4a111987698d11546b186917d02cf7",
+		"risc32": "f85cc50593b0ac78c027af7e26de694c83bac823425088f88a674bce338e570b",
+		"riscv5": "73739bd813c27a5a69f6ef2be00699b9a67eecd42112525198f57d11e76d5704",
+		"spam":   "59c12574e2ae3bdbc728bba52d3f17119ae943bd9bf8641ef05d500790c6213e",
+		"spam2":  "c4d7e6d718772d98fbff65dc8b3f96bfe9b85ee14c57ec78380526d06bcd5413",
+	}
+	for _, z := range machines.Zoo() {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(isdl.Format(z.Parse())))); got != want[z.Name] {
+			t.Errorf("%s: Format hash %s, want %s", z.Name, got, want[z.Name])
 		}
 	}
 }

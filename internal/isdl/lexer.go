@@ -1,9 +1,6 @@
 package isdl
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // lexKind classifies lexical tokens of the ISDL concrete syntax.
 type lexKind int
@@ -35,12 +32,24 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// puncts lists multi-character operators longest-first so maximal munch wins.
-var puncts = []string{
-	"<-", "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "..",
-	"(", ")", "{", "}", "[", "]", ":", ";", ",", ".", "#",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", "@",
+// isPunct2 reports whether s is a two-character operator. The lexer tries
+// these before single characters so maximal munch wins ("<-" never lexes
+// as "<" then "-").
+func isPunct2(s string) bool {
+	switch s {
+	case "<-", "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "..":
+		return true
+	}
+	return false
 }
+
+// punct1 marks the bytes that are one-character punctuation tokens.
+var punct1 = func() (t [256]bool) {
+	for _, c := range "(){}[]:;,.#+-*/%&|^~!<>=@" {
+		t[c] = true
+	}
+	return t
+}()
 
 type lexer struct {
 	src  string
@@ -141,13 +150,18 @@ func (l *lexer) next() (lexToken, error) {
 		return l.lexNumber(p)
 	}
 
-	for _, op := range puncts {
-		if strings.HasPrefix(l.src[l.off:], op) {
-			l.advance(len(op))
-			return lexToken{Kind: lexPunct, Text: op, Pos: p}, nil
-		}
+	n := 0
+	switch {
+	case l.off+1 < len(l.src) && isPunct2(l.src[l.off:l.off+2]):
+		n = 2
+	case punct1[c]:
+		n = 1
+	default:
+		return lexToken{}, &lexError{p, fmt.Sprintf("unexpected character %q", c)}
 	}
-	return lexToken{}, &lexError{p, fmt.Sprintf("unexpected character %q", c)}
+	text := l.src[l.off : l.off+n]
+	l.advance(n)
+	return lexToken{Kind: lexPunct, Text: text, Pos: p}, nil
 }
 
 // lexNumber handles:

@@ -10,11 +10,7 @@ import (
 // the returned Description is fully resolved: parameter types, storage
 // references, expression widths and constraint atoms are all bound.
 func Parse(src string) (*Description, error) {
-	p := &parser{lx: newLexer(src)}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	d, err := p.parseDescription()
+	d, err := parseSyntax(src)
 	if err != nil {
 		return nil, err
 	}
@@ -22,6 +18,17 @@ func Parse(src string) (*Description, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// parseSyntax parses src into a syntax tree: a Description with only the
+// parser's own links set (Operation.Field, Field.ByName, StorageByName,
+// Tokens, NonTerminals). The semantic pass does all the rest.
+func parseSyntax(src string) (*Description, error) {
+	p := &parser{lx: newLexer(src)}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	return p.parseDescription()
 }
 
 type parser struct {

@@ -1,7 +1,7 @@
 package isdl
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitvec"
@@ -117,28 +117,70 @@ func (e *Unary) Width() int  { return e.W }
 func (e *Binary) Width() int { return e.W }
 func (e *Call) Width() int   { return e.W }
 
-func (e *Lit) String() string {
-	if !e.Sized && e.Val.Width() == 0 {
-		if e.Neg {
-			return fmt.Sprintf("-%d", e.Dec)
+func (e *Lit) String() string    { return exprString(e) }
+func (e *Ref) String() string    { return e.Name }
+func (e *Index) String() string  { return exprString(e) }
+func (e *SliceE) String() string { return exprString(e) }
+func (e *Unary) String() string  { return exprString(e) }
+func (e *Binary) String() string { return exprString(e) }
+func (e *Call) String() string   { return exprString(e) }
+
+func exprString(e Expr) string {
+	var sb strings.Builder
+	writeExpr(&sb, e)
+	return sb.String()
+}
+
+// writeExpr renders e the way the String methods do — the concrete RTL
+// syntax Format emits — into one builder, so rendering a description
+// allocates per description instead of per node.
+func writeExpr(sb *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *Lit:
+		if !e.Sized && e.Val.Width() == 0 {
+			if e.Neg {
+				sb.WriteByte('-')
+			}
+			sb.WriteString(strconv.FormatUint(e.Dec, 10))
+			return
 		}
-		return fmt.Sprintf("%d", e.Dec)
+		sb.WriteString(e.Val.String())
+	case *Ref:
+		sb.WriteString(e.Name)
+	case *Index:
+		sb.WriteString(e.Name)
+		sb.WriteByte('[')
+		writeExpr(sb, e.Idx)
+		sb.WriteByte(']')
+	case *SliceE:
+		writeExpr(sb, e.X)
+		sb.WriteByte('[')
+		sb.WriteString(strconv.Itoa(e.Hi))
+		sb.WriteByte(':')
+		sb.WriteString(strconv.Itoa(e.Lo))
+		sb.WriteByte(']')
+	case *Unary:
+		sb.WriteString(e.Op)
+		writeExpr(sb, e.X)
+	case *Binary:
+		sb.WriteByte('(')
+		writeExpr(sb, e.X)
+		sb.WriteByte(' ')
+		sb.WriteString(e.Op)
+		sb.WriteByte(' ')
+		writeExpr(sb, e.Y)
+		sb.WriteByte(')')
+	case *Call:
+		sb.WriteString(e.Fn)
+		sb.WriteByte('(')
+		for i, a := range e.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, a)
+		}
+		sb.WriteByte(')')
 	}
-	return e.Val.String()
-}
-func (e *Ref) String() string   { return e.Name }
-func (e *Index) String() string { return fmt.Sprintf("%s[%s]", e.Name, e.Idx) }
-func (e *SliceE) String() string {
-	return fmt.Sprintf("%s[%d:%d]", e.X, e.Hi, e.Lo)
-}
-func (e *Unary) String() string  { return fmt.Sprintf("%s%s", e.Op, e.X) }
-func (e *Binary) String() string { return fmt.Sprintf("(%s %s %s)", e.X, e.Op, e.Y) }
-func (e *Call) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", e.Fn, strings.Join(args, ", "))
 }
 
 func (*Lit) exprNode()    {}
@@ -175,26 +217,46 @@ func (s *Assign) Pos() Pos   { return s.At }
 func (s *If) Pos() Pos       { return s.At }
 func (s *ExprStmt) Pos() Pos { return s.At }
 
-func (s *Assign) String() string { return fmt.Sprintf("%s <- %s;", s.LHS, s.RHS) }
-func (s *If) String() string {
+func (s *Assign) String() string   { return stmtString(s) }
+func (s *If) String() string       { return stmtString(s) }
+func (s *ExprStmt) String() string { return stmtString(s) }
+
+func stmtString(s Stmt) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "if (%s) { ", s.Cond)
-	for _, st := range s.Then {
-		sb.WriteString(st.String())
-		sb.WriteByte(' ')
-	}
-	sb.WriteString("}")
-	if len(s.Else) > 0 {
-		sb.WriteString(" else { ")
-		for _, st := range s.Else {
-			sb.WriteString(st.String())
+	writeStmt(&sb, s)
+	return sb.String()
+}
+
+// writeStmt renders s the way the String methods do, into one builder.
+func writeStmt(sb *strings.Builder, s Stmt) {
+	switch s := s.(type) {
+	case *Assign:
+		writeExpr(sb, s.LHS)
+		sb.WriteString(" <- ")
+		writeExpr(sb, s.RHS)
+		sb.WriteByte(';')
+	case *If:
+		sb.WriteString("if (")
+		writeExpr(sb, s.Cond)
+		sb.WriteString(") { ")
+		for _, st := range s.Then {
+			writeStmt(sb, st)
 			sb.WriteByte(' ')
 		}
 		sb.WriteString("}")
+		if len(s.Else) > 0 {
+			sb.WriteString(" else { ")
+			for _, st := range s.Else {
+				writeStmt(sb, st)
+				sb.WriteByte(' ')
+			}
+			sb.WriteString("}")
+		}
+	case *ExprStmt:
+		writeExpr(sb, s.X)
+		sb.WriteByte(';')
 	}
-	return sb.String()
 }
-func (s *ExprStmt) String() string { return s.X.String() + ";" }
 
 func (*Assign) stmtNode()   {}
 func (*If) stmtNode()       {}

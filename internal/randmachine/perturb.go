@@ -20,25 +20,25 @@ import (
 // compiled: no operation is removed and no memory shrinks below data the
 // kernel placed in it.
 func Perturb(rnd *rand.Rand, src string, n int) (string, []string, error) {
-	d, err := isdl.Parse(src)
+	t, err := isdl.NewTemplate(src)
 	if err != nil {
 		return "", nil, err
 	}
-	cur := isdl.Format(d)
+	cur := t.Text
 	var actions []string
 	for step := 0; step < n; step++ {
-		d, err := isdl.Parse(cur)
-		if err != nil {
-			return "", nil, fmt.Errorf("perturb step %d: %w", step, err)
+		if step > 0 {
+			if t, err = isdl.NewTemplate(cur); err != nil {
+				return "", nil, fmt.Errorf("perturb step %d: %w", step, err)
+			}
 		}
-		muts := perturbations(d)
+		muts := perturbations(t.Base)
 		if len(muts) == 0 {
 			break
 		}
 		m := muts[rnd.Intn(len(muts))]
-		m.apply()
-		text := isdl.Format(d)
-		if _, err := isdl.Parse(text); err != nil {
+		_, text, err := t.Derive(m.apply)
+		if err != nil {
 			// A mutation from the valid set must stay valid; treat a
 			// failure as a bug rather than silently skipping it.
 			return "", nil, fmt.Errorf("perturb %q produced invalid ISDL: %w", m.action, err)
@@ -49,10 +49,40 @@ func Perturb(rnd *rand.Rand, src string, n int) (string, []string, error) {
 	return cur, actions, nil
 }
 
-// perturbation is one applicable mutation of a parsed description.
+// perturbKind is what a perturbation changes.
+type perturbKind int
+
+const (
+	deepenOp perturbKind = iota
+	shortenOp
+	doubleMemory
+)
+
+// perturbation is one applicable mutation. It names its target by index
+// (field fi, operation oi, or storage si), so it applies to any copy of
+// the description it was chosen from.
 type perturbation struct {
-	action string
-	apply  func()
+	action     string
+	kind       perturbKind
+	fi, oi, si int
+}
+
+func (p perturbation) apply(d *isdl.Description) bool {
+	switch p.kind {
+	case deepenOp:
+		o := d.Fields[p.fi].Ops[p.oi]
+		o.Timing.Latency++
+		o.Costs.Stall++
+	case shortenOp:
+		o := d.Fields[p.fi].Ops[p.oi]
+		o.Timing.Latency--
+		if o.Costs.Stall > 0 {
+			o.Costs.Stall--
+		}
+	case doubleMemory:
+		d.Storage[p.si].Depth *= 2
+	}
+	return true
 }
 
 // perturbations enumerates the valid mutations of d in a deterministic
@@ -60,38 +90,21 @@ type perturbation struct {
 // the same list on every run.
 func perturbations(d *isdl.Description) []perturbation {
 	var out []perturbation
-	for fi := range d.Fields {
-		for oi := range d.Fields[fi].Ops {
-			op := d.Fields[fi].Ops[oi]
+	for fi, f := range d.Fields {
+		for oi, op := range f.Ops {
 			if op.Name == "nop" {
 				continue
 			}
 			name := op.QualName()
-			o := op
-			out = append(out, perturbation{
-				action: "deepen " + name + " pipeline",
-				apply:  func() { o.Timing.Latency++; o.Costs.Stall++ },
-			})
+			out = append(out, perturbation{action: "deepen " + name + " pipeline", kind: deepenOp, fi: fi, oi: oi})
 			if op.Timing.Latency > 1 {
-				out = append(out, perturbation{
-					action: "shorten " + name + " pipeline",
-					apply: func() {
-						o.Timing.Latency--
-						if o.Costs.Stall > 0 {
-							o.Costs.Stall--
-						}
-					},
-				})
+				out = append(out, perturbation{action: "shorten " + name + " pipeline", kind: shortenOp, fi: fi, oi: oi})
 			}
 		}
 	}
-	for _, st := range d.Storage {
+	for si, st := range d.Storage {
 		if st.Kind == isdl.StDataMemory {
-			s := st
-			out = append(out, perturbation{
-				action: fmt.Sprintf("double %s depth", st.Name),
-				apply:  func() { s.Depth *= 2 },
-			})
+			out = append(out, perturbation{action: fmt.Sprintf("double %s depth", st.Name), kind: doubleMemory, si: si})
 		}
 	}
 	return out
